@@ -1,0 +1,417 @@
+"""Command-line front end.
+
+Subcommands: ``segment-fl`` (fused-lasso estimate + FDR-controlled
+segment calls), ``segment-dpi`` (dynamic-programming genotype imputation),
+``simulate`` (synthetic track generation), and ``bench`` (accuracy/speed
+benchmark over a simulated corpus). Input and output are plain TSV;
+numbers are written with 6 significant digits so identical inputs and
+flags produce byte-identical outputs.
+"""
+
+from __future__ import annotations
+
+import argparse
+import logging
+import math
+import sys
+
+import numpy as np
+
+from . import dpi as dpi_mod
+from . import fused_lasso as fl
+from . import segment_caller as sc
+from . import simulate as sim
+from .errors import CnvFuseError, TrackFormatError
+from .signal_model import SnpTrack, TuningConstants, default_lambdas, estimate_sigma
+
+logger = logging.getLogger(__name__)
+
+TRACK_COLUMNS = ("snp_id", "chrom", "pos", "logr", "baf")
+
+
+def _fmt(x: float) -> str:
+    if isinstance(x, float) and math.isnan(x):
+        return "nan"
+    return format(x, ".6g")
+
+
+def read_track_file(path) -> list[tuple[str, SnpTrack]]:
+    """Parse a TSV track file into one SnpTrack per chromosome.
+
+    Requires the header columns snp_id, chrom, pos, logr, baf (extras are
+    ignored); rejects unsorted or duplicate positions within a chromosome,
+    interleaved chromosome groups, and non-finite numerics. BAF values
+    outside [0, 1] are clamped with a logged warning.
+    """
+    groups: dict[str, list] = {}
+    order: list[str] = []
+    with open(path, "r", encoding="utf-8") as fh:
+        header = fh.readline()
+        if not header:
+            raise TrackFormatError(f"{path}: empty file")
+        names = header.rstrip("\n").split("\t")
+        col = {}
+        for want in TRACK_COLUMNS:
+            if want not in names:
+                raise TrackFormatError(f"{path}: missing column '{want}'")
+            col[want] = names.index(want)
+        n_cols = len(names)
+        for lineno, line in enumerate(fh, start=2):
+            line = line.rstrip("\n")
+            if not line:
+                continue
+            parts = line.split("\t")
+            if len(parts) != n_cols:
+                raise TrackFormatError(f"{path}:{lineno}: expected {n_cols} fields")
+            chrom = parts[col["chrom"]]
+            try:
+                pos = int(parts[col["pos"]])
+                logr = float(parts[col["logr"]])
+                baf = float(parts[col["baf"]])
+            except ValueError as exc:
+                raise TrackFormatError(f"{path}:{lineno}: {exc}") from exc
+            if pos < 0:
+                raise TrackFormatError(f"{path}:{lineno}: negative position")
+            if not (math.isfinite(logr) and math.isfinite(baf)):
+                raise TrackFormatError(f"{path}:{lineno}: non-finite logr/baf")
+            if chrom not in groups:
+                groups[chrom] = []
+                order.append(chrom)
+            elif order[-1] != chrom:
+                raise TrackFormatError(
+                    f"{path}:{lineno}: chrom '{chrom}' rows are not contiguous"
+                )
+            rows = groups[chrom]
+            if rows and pos <= rows[-1][1]:
+                raise TrackFormatError(
+                    f"{path}:{lineno}: positions not strictly increasing in chrom '{chrom}'"
+                )
+            rows.append((parts[col["snp_id"]], pos, logr, baf))
+
+    tracks = []
+    for chrom in order:
+        rows = groups[chrom]
+        track = SnpTrack.from_values(
+            snp_ids=tuple(r[0] for r in rows),
+            positions=np.array([r[1] for r in rows], dtype=np.int64),
+            logr=np.array([r[2] for r in rows]),
+            baf=np.array([r[3] for r in rows]),
+            clamp_baf=True,
+        )
+        tracks.append((chrom, track))
+    return tracks
+
+
+def _parse_split_at(value: str) -> dict[str, list[int]]:
+    splits: dict[str, list[int]] = {}
+    for item in value.split(","):
+        item = item.strip()
+        if not item:
+            continue
+        chrom, _, pos = item.rpartition(":")
+        if not chrom:
+            raise ValueError(f"--split-at entries must look like chrom:pos, got {item!r}")
+        splits.setdefault(chrom, []).append(int(pos))
+    for chrom in splits:
+        splits[chrom].sort()
+    return splits
+
+
+def _split_track(chrom: str, track: SnpTrack, splits) -> list[SnpTrack]:
+    """Cut one chromosome at the given positions (each piece is processed
+    as an independent sequence, e.g. chromosome arms)."""
+    cuts = splits.get(chrom, []) if splits else []
+    if not cuts:
+        return [track]
+    bounds = [0]
+    for cut in cuts:
+        idx = int(np.searchsorted(track.positions, cut))
+        if bounds[-1] < idx < track.n:
+            bounds.append(idx)
+    bounds.append(track.n)
+    pieces = []
+    for a, b in zip(bounds[:-1], bounds[1:]):
+        pieces.append(
+            SnpTrack(
+                snp_ids=track.snp_ids[a:b],
+                positions=track.positions[a:b],
+                logr=track.logr[a:b],
+                baf=track.baf[a:b],
+            )
+        )
+    return pieces
+
+
+def _open_output(path):
+    if path is None or path == "-":
+        return sys.stdout, False
+    return open(path, "w", encoding="utf-8"), True
+
+
+def _write_lines(path, lines):
+    out, close = _open_output(path)
+    try:
+        out.write("\n".join(lines) + "\n")
+    finally:
+        if close:
+            out.close()
+
+
+def _mu_init(text: str) -> tuple[float, float, float, float]:
+    parts = [float(p) for p in text.split(",")]
+    if len(parts) != 4:
+        raise ValueError("--mu-init needs four comma-separated values m0,m1,m2,m3")
+    return tuple(parts)
+
+
+def cmd_segment_fl(args) -> int:
+    tracks = read_track_file(args.input)
+    splits = _parse_split_at(args.split_at) if args.split_at else {}
+    lines = ["\t".join(["chrom", "start_pos", "end_pos", "n_snps", "mean_beta", "z", "p", "call"])]
+    for chrom, whole in tracks:
+        for track in _split_track(chrom, whole, splits):
+            sigma = estimate_sigma(track)
+            lam1, lam2 = args.lambda1, args.lambda2
+            if lam1 is None or lam2 is None:
+                d1, d2 = default_lambdas(sigma, track.n)
+                lam1 = d1 if lam1 is None else lam1
+                lam2 = d2 if lam2 is None else lam2
+            tc = TuningConstants(lam1, lam2, epsilon=args.epsilon)
+            fit = fl.solve_mm_tdm(track.logr, tc, tol=args.tol, max_iter=args.max_iter)
+            segments = sc.call_cnvs(
+                fit.beta, sigma, fdr_level=args.fdr, min_snps=args.min_snps
+            )
+            segments = sc.merge_adjacent_calls(fit.beta, segments, sigma)
+            for seg in segments:
+                lines.append(
+                    "\t".join(
+                        [
+                            chrom,
+                            str(int(track.positions[seg.start_index])),
+                            str(int(track.positions[seg.end_index])),
+                            str(seg.n_snps),
+                            _fmt(seg.mean_beta),
+                            _fmt(seg.z),
+                            _fmt(seg.p_value),
+                            seg.call.value,
+                        ]
+                    )
+                )
+    _write_lines(args.output, lines)
+    return 0
+
+
+def cmd_segment_dpi(args) -> int:
+    tracks = read_track_file(args.input)
+    splits = _parse_split_at(args.split_at) if args.split_at else {}
+    state_space = dpi_mod.StateSpace.FOUR if args.state_space == "4" else dpi_mod.StateSpace.TEN
+    snp_lines = ["\t".join(["snp_id", "chrom", "pos", "genotype_state", "copy_number"])]
+    seg_lines = ["\t".join(["chrom", "start_pos", "end_pos", "n_snps", "copy_number"])]
+    for chrom, whole in tracks:
+        for track in _split_track(chrom, whole, splits):
+            sigma = estimate_sigma(track)
+            lam1, lam2 = args.lambda1, args.lambda2
+            if lam1 is None or lam2 is None:
+                d1, d2 = default_lambdas(sigma, track.n)
+                lam1 = d1 if lam1 is None else lam1
+                lam2 = d2 if lam2 is None else lam2
+            model = dpi_mod.DpiModel(
+                mu=args.mu_init,
+                lambda1=lam1,
+                lambda2=lam2,
+                alpha=args.alpha,
+                state_space=state_space,
+            )
+            fit = dpi_mod.dpi_fit(track, model, max_rounds=args.max_rounds)
+            copies = fit.path.copy_numbers
+            for i, state in enumerate(fit.path.states):
+                snp_lines.append(
+                    "\t".join(
+                        [
+                            track.snp_ids[i],
+                            chrom,
+                            str(int(track.positions[i])),
+                            state.genotype,
+                            str(int(copies[i])),
+                        ]
+                    )
+                )
+            run_start = 0
+            for i in range(1, track.n + 1):
+                if i == track.n or copies[i] != copies[run_start]:
+                    seg_lines.append(
+                        "\t".join(
+                            [
+                                chrom,
+                                str(int(track.positions[run_start])),
+                                str(int(track.positions[i - 1])),
+                                str(i - run_start),
+                                str(int(copies[run_start])),
+                            ]
+                        )
+                    )
+                    run_start = i
+    _write_lines(args.output, snp_lines)
+    if args.segments_out:
+        _write_lines(args.segments_out, seg_lines)
+    return 0
+
+
+def cmd_simulate(args) -> int:
+    spec = sim.SimSpec(
+        n=args.n,
+        cnv_length=args.cnv_length,
+        cnv_type=sim.CnvType(args.cnv_type),
+        cnv_start=None if args.cnv_start == "center" else int(args.cnv_start),
+        sigma_logr=args.sigma_logr,
+        sigma_baf=args.sigma_baf,
+        maf=args.maf,
+        mu_truth=args.mu_truth,
+        seed=args.seed,
+        chrom=args.chrom,
+    )
+    truth = sim.generate(spec)
+    track = truth.track
+    lines = ["\t".join(TRACK_COLUMNS)]
+    for i in range(track.n):
+        lines.append(
+            "\t".join(
+                [
+                    track.snp_ids[i],
+                    spec.chrom,
+                    str(int(track.positions[i])),
+                    _fmt(float(track.logr[i])),
+                    _fmt(float(track.baf[i])),
+                ]
+            )
+        )
+    _write_lines(args.output, lines)
+    if args.truth_output:
+        tlines = ["\t".join(["snp_id", "chrom", "pos", "true_copy", "true_genotype"])]
+        for i in range(track.n):
+            tlines.append(
+                "\t".join(
+                    [
+                        track.snp_ids[i],
+                        spec.chrom,
+                        str(int(track.positions[i])),
+                        str(int(truth.true_copy[i])),
+                        truth.true_genotype[i].genotype,
+                    ]
+                )
+            )
+        _write_lines(args.truth_output, tlines)
+    return 0
+
+
+def cmd_bench(args) -> int:
+    methods = [m.strip() for m in args.methods.split(",") if m.strip()]
+    if args.include_mmb and "mmb" not in methods:
+        methods.append("mmb")
+    lengths = [int(v) for v in args.lengths.split(",") if v.strip()]
+    sizes = [int(v) for v in args.cnv_sizes.split(",") if v.strip()]
+    specs = []
+    for n in lengths:
+        specs.extend(
+            sim.dataset1_specs(count=args.per_cell, n=n, cnv_sizes=sizes, seed=args.seed)
+        )
+    rows = sim.run_benchmark(
+        specs,
+        methods=methods,
+        fdr_level=args.fdr,
+        min_snps=args.min_snps,
+        alpha=args.alpha,
+        mu_init=args.mu_init,
+        tol=args.tol,
+        max_iter=args.max_iter,
+    )
+    report = sim.format_report(rows)
+    out, close = _open_output(args.output)
+    try:
+        out.write(report)
+    finally:
+        if close:
+            out.close()
+    return 0
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="cnvfuse",
+        description="Copy-number reconstruction from SNP-array LogR/BAF tracks",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    def add_common_solver_flags(p):
+        p.add_argument("--lambda1", type=float, default=None, help="sparsity penalty (default: sigma_hat)")
+        p.add_argument("--lambda2", type=float, default=None, help="fusion penalty (default: 2*sigma_hat*sqrt(ln n))")
+        p.add_argument("--split-at", default=None, metavar="CHROM:POS[,...]", help="split chromosomes at these positions (e.g. centromeres)")
+        p.add_argument("--output", default=None, help="output path (default stdout)")
+
+    p_fl = sub.add_parser("segment-fl", help="fused-lasso segmentation and FDR-controlled calling")
+    p_fl.add_argument("input", help="track TSV (snp_id, chrom, pos, logr, baf)")
+    add_common_solver_flags(p_fl)
+    p_fl.add_argument("--fdr", type=float, default=sc.DEFAULT_FDR_LEVEL)
+    p_fl.add_argument("--epsilon", type=float, default=1e-10)
+    p_fl.add_argument("--tol", type=float, default=fl.DEFAULT_TOL)
+    p_fl.add_argument("--max-iter", type=int, default=fl.DEFAULT_MAX_ITER)
+    p_fl.add_argument("--min-snps", type=int, default=sc.DEFAULT_MIN_SNPS)
+    p_fl.set_defaults(func=cmd_segment_fl)
+
+    p_dpi = sub.add_parser("segment-dpi", help="dynamic-programming genotype imputation")
+    p_dpi.add_argument("input", help="track TSV (snp_id, chrom, pos, logr, baf)")
+    add_common_solver_flags(p_dpi)
+    p_dpi.add_argument("--alpha", type=float, default=dpi_mod.DEFAULT_ALPHA)
+    p_dpi.add_argument("--mu-init", type=_mu_init, default=dpi_mod.DEFAULT_COPY_LOGR_MEANS, metavar="M0,M1,M2,M3")
+    p_dpi.add_argument("--state-space", choices=("10", "4"), default="10")
+    p_dpi.add_argument("--max-rounds", type=int, default=dpi_mod.DEFAULT_MAX_ROUNDS)
+    p_dpi.add_argument("--segments-out", default=None, help="also write constant-copy segments here")
+    p_dpi.set_defaults(func=cmd_segment_dpi)
+
+    p_sim = sub.add_parser("simulate", help="generate a synthetic LogR/BAF track")
+    p_sim.add_argument("--n", type=int, default=13000)
+    p_sim.add_argument("--cnv-length", type=int, default=50)
+    p_sim.add_argument("--cnv-type", choices=[t.value for t in sim.CnvType], default="del1")
+    p_sim.add_argument("--cnv-start", default="center", help="0-based start index or 'center'")
+    p_sim.add_argument("--sigma-logr", type=float, default=0.2)
+    p_sim.add_argument("--sigma-baf", type=float, default=0.03)
+    p_sim.add_argument("--maf", type=float, default=0.3)
+    p_sim.add_argument("--mu-truth", type=_mu_init, default=dpi_mod.DEFAULT_COPY_LOGR_MEANS, metavar="M0,M1,M2,M3")
+    p_sim.add_argument("--seed", type=int, default=0)
+    p_sim.add_argument("--chrom", default="1")
+    p_sim.add_argument("--output", default=None)
+    p_sim.add_argument("--truth-output", default=None)
+    p_sim.set_defaults(func=cmd_simulate)
+
+    p_bench = sub.add_parser("bench", help="simulate a corpus and benchmark the methods")
+    p_bench.add_argument("--methods", default="fused_lasso,dpi")
+    p_bench.add_argument("--include-mmb", action="store_true", help="add the block-relaxation baseline")
+    p_bench.add_argument("--lengths", default="13000", help="comma-separated sequence lengths")
+    p_bench.add_argument("--cnv-sizes", default="5,10,20,30,40,50")
+    p_bench.add_argument("--per-cell", type=int, default=12, help="tracks per sequence length")
+    p_bench.add_argument("--seed", type=int, default=0)
+    p_bench.add_argument("--fdr", type=float, default=sc.DEFAULT_FDR_LEVEL)
+    p_bench.add_argument("--min-snps", type=int, default=sc.DEFAULT_MIN_SNPS)
+    p_bench.add_argument("--alpha", type=float, default=dpi_mod.DEFAULT_ALPHA)
+    p_bench.add_argument("--mu-init", type=_mu_init, default=dpi_mod.DEFAULT_COPY_LOGR_MEANS, metavar="M0,M1,M2,M3")
+    p_bench.add_argument("--tol", type=float, default=fl.DEFAULT_TOL)
+    p_bench.add_argument("--max-iter", type=int, default=fl.DEFAULT_MAX_ITER)
+    p_bench.add_argument("--output", default=None)
+    p_bench.set_defaults(func=cmd_bench)
+
+    return parser
+
+
+def main(argv=None) -> int:
+    logging.basicConfig(level=logging.WARNING, format="%(levelname)s: %(message)s")
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    try:
+        return args.func(args)
+    except (CnvFuseError, ValueError, OSError) as exc:
+        print(f"cnvfuse: error: {exc}", file=sys.stderr)
+        return 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -1,0 +1,325 @@
+"""Smoothed fused-lasso minimization by majorization-minimization.
+
+The target criterion is
+
+    f_eps(beta) = 1/2 sum (y_i - beta_i)^2
+                  + lambda1 * sum ||beta_i||
+                  + lambda2 * sum ||beta_i - beta_{i-1}||
+
+where ||x|| = sqrt(x^2 + eps) smooths the absolute value. Each penalty
+term is majorized by a quadratic tangent at the current iterate, so every
+MM step reduces to one symmetric positive-definite tridiagonal solve
+(``solve_mm_tdm``). ``solve_mm_block`` replaces the exact solve with one
+even/odd block-relaxation sweep; it is retained only as a slow baseline
+for benchmarking.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+
+import numpy as np
+
+from .errors import NonFiniteInput, ZeroPivot
+from .signal_model import TuningConstants
+
+DEFAULT_TOL = 1e-4
+DEFAULT_MAX_ITER = 10000
+
+# Pivots below this signal a non-SPD system rather than roundoff.
+_PIVOT_FLOOR = 1e-300
+
+
+def smooth_abs(x, epsilon: float):
+    """sqrt(x^2 + epsilon): differentiable, strictly convex |x| surrogate."""
+    return np.sqrt(np.square(x) + epsilon)
+
+
+def objective(beta, y, tc: TuningConstants) -> float:
+    """Value of the smoothed fused-lasso criterion at ``beta``."""
+    beta = np.asarray(beta, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    if beta.shape != y.shape:
+        raise ValueError(f"length mismatch: beta {beta.shape} vs y {y.shape}")
+    r = y - beta
+    value = 0.5 * float(r @ r)
+    value += tc.lambda1 * float(np.sum(smooth_abs(beta, tc.epsilon)))
+    if beta.size > 1:
+        value += tc.lambda2 * float(np.sum(smooth_abs(np.diff(beta), tc.epsilon)))
+    return value
+
+
+def gradient(beta, y, tc: TuningConstants) -> np.ndarray:
+    """Gradient of the smoothed criterion (exists for every eps > 0)."""
+    beta = np.asarray(beta, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    g = beta - y + tc.lambda1 * beta / smooth_abs(beta, tc.epsilon)
+    if beta.size > 1:
+        d = np.diff(beta)
+        t = tc.lambda2 * d / smooth_abs(d, tc.epsilon)
+        g[1:] += t
+        g[:-1] -= t
+    return g
+
+
+@dataclass(frozen=True)
+class TridiagonalSystem:
+    """Symmetric tridiagonal system A x = rhs.
+
+    diag holds a[i,i]; upper holds a[i,i+1]; lower holds a[i+1,i]. The MM
+    surrogate always produces lower == upper and, for lambda1 > 0, strict
+    diagonal dominance (hence positive definiteness).
+    """
+
+    diag: np.ndarray
+    upper: np.ndarray
+    lower: np.ndarray
+    rhs: np.ndarray
+
+    def __post_init__(self):
+        n = self.diag.size
+        if n < 1 or self.rhs.size != n:
+            raise ValueError("diag and rhs must have equal length >= 1")
+        if self.upper.size != n - 1 or self.lower.size != n - 1:
+            raise ValueError("off-diagonals must have length n - 1")
+
+
+@dataclass(frozen=True)
+class BetaFit:
+    """Solver output: the estimate plus convergence diagnostics.
+
+    objective_trace records the criterion value at the start and after
+    every iteration; the MM descent property makes it nonincreasing up to
+    rounding.
+    """
+
+    beta: np.ndarray
+    objective: float
+    iterations: int
+    converged: bool
+    objective_trace: np.ndarray
+
+
+def build_surrogate(beta_m, y, tc: TuningConstants) -> TridiagonalSystem:
+    """Assemble the quadratic-majorizer system at the expansion point.
+
+    Row i carries 1 + lambda1/||beta_i|| plus lambda2/||delta|| for each
+    of the (up to two) adjacent differences; off-diagonal entries are the
+    negated fusion weights; the right-hand side is y.
+    """
+    beta_m = np.asarray(beta_m, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    n = beta_m.size
+    if n < 2:
+        raise ValueError("surrogate needs n >= 2 (scalar case is closed-form)")
+    if y.size != n:
+        raise ValueError("beta_m and y must have equal length")
+    w1 = tc.lambda1 / smooth_abs(beta_m, tc.epsilon)
+    w2 = tc.lambda2 / smooth_abs(np.diff(beta_m), tc.epsilon)
+    diag = 1.0 + w1
+    diag[:-1] += w2
+    diag[1:] += w2
+    off = -w2
+    return TridiagonalSystem(diag=diag, upper=off, lower=off.copy(), rhs=y.copy())
+
+
+def thomas_solve(system: TridiagonalSystem) -> np.ndarray:
+    """Solve the tridiagonal system by forward elimination + back substitution.
+
+    O(n) work and no pivoting; valid because the surrogate is strictly
+    diagonally dominant. A vanishing pivot raises ZeroPivot.
+    """
+    n = system.diag.size
+    b = system.diag.tolist()
+    d = system.rhs.tolist()
+    if n == 1:
+        if abs(b[0]) < _PIVOT_FLOOR:
+            raise ZeroPivot("zero pivot at row 0")
+        return np.array([d[0] / b[0]])
+    a = system.lower.tolist()
+    c = system.upper.tolist()
+    cp = [0.0] * (n - 1)
+    dp = [0.0] * n
+    piv = b[0]
+    if abs(piv) < _PIVOT_FLOOR:
+        raise ZeroPivot("zero pivot at row 0")
+    cp[0] = c[0] / piv
+    dp[0] = d[0] / piv
+    for i in range(1, n):
+        piv = b[i] - a[i - 1] * cp[i - 1]
+        if abs(piv) < _PIVOT_FLOOR:
+            raise ZeroPivot(f"zero pivot at row {i}")
+        if i < n - 1:
+            cp[i] = c[i] / piv
+        dp[i] = (d[i] - a[i - 1] * dp[i - 1]) / piv
+    x = dp
+    for i in range(n - 2, -1, -1):
+        x[i] -= cp[i] * x[i + 1]
+    return np.asarray(x)
+
+
+def _check_input(y) -> np.ndarray:
+    y = np.asarray(y, dtype=np.float64)
+    if y.ndim != 1 or y.size < 1:
+        raise ValueError("y must be a 1-D vector of length >= 1")
+    if not np.all(np.isfinite(y)):
+        raise NonFiniteInput("y contains non-finite values")
+    return y
+
+
+def _solve_scalar(y0: float, tc: TuningConstants, tol: float) -> BetaFit:
+    # n == 1: minimize 0.5*(y-b)^2 + lambda1*sqrt(b^2+eps) directly.
+    # h'(b) = b - y + lambda1*b/||b|| is strictly increasing with a root
+    # bracketed by 0 and y; safeguarded Newton converges fast.
+    lam, eps = tc.lambda1, tc.epsilon
+
+    def h1(b):
+        return b - y0 + lam * b / math.sqrt(b * b + eps)
+
+    f0 = objective([y0], [y0], tc)
+    if y0 == 0.0 or lam == 0.0:
+        b = 0.0 if lam > 0.0 else y0
+        fit = objective([b], [y0], tc)
+        return BetaFit(np.array([b]), fit, 1, True, np.array([f0, fit]))
+    lo, hi = (0.0, y0) if y0 > 0 else (y0, 0.0)
+    b = y0
+    for _ in range(200):
+        g = h1(b)
+        if abs(g) < 1e-15 * max(1.0, abs(y0), lam):
+            break
+        if g > 0:
+            hi = b
+        else:
+            lo = b
+        h2 = 1.0 + lam * eps / (b * b + eps) ** 1.5
+        step = b - g / h2
+        b = step if lo < step < hi else 0.5 * (lo + hi)
+        if hi - lo < 1e-17:
+            break
+    fit = objective([b], [y0], tc)
+    return BetaFit(np.array([b]), fit, 1, True, np.array([f0, fit]))
+
+
+def solve_mm_tdm(
+    y,
+    tc: TuningConstants,
+    tol: float = DEFAULT_TOL,
+    max_iter: int = DEFAULT_MAX_ITER,
+) -> BetaFit:
+    """Minimize the smoothed criterion by MM with exact tridiagonal solves.
+
+    Starts from beta = y and stops once the objective decrement between
+    consecutive iterations falls below ``tol`` (or after ``max_iter``
+    steps). Because each MM step solves its surrogate exactly, the
+    residual gradient at return is bounded by
+    (sqrt(lambda1) + 2*sqrt(lambda2)) * sqrt(2*tol) / eps^(1/4) in
+    max-norm; in practice it is far smaller (see the test suite).
+    """
+    y = _check_input(y)
+    if not tol > 0:
+        raise ValueError("tol must be positive")
+    if max_iter < 1:
+        raise ValueError("max_iter must be positive")
+    if y.size == 1:
+        return _solve_scalar(float(y[0]), tc, tol)
+
+    beta = y.copy()
+    f_cur = objective(beta, y, tc)
+    trace = [f_cur]
+    converged = False
+    iterations = 0
+    for _ in range(max_iter):
+        system = build_surrogate(beta, y, tc)
+        beta = thomas_solve(system)
+        f_new = objective(beta, y, tc)
+        trace.append(f_new)
+        iterations += 1
+        if f_cur - f_new < tol:
+            converged = True
+            f_cur = f_new
+            break
+        f_cur = f_new
+    return BetaFit(beta, f_cur, iterations, converged, np.asarray(trace))
+
+
+def solve_mm_block(
+    y,
+    tc: TuningConstants,
+    tol: float = DEFAULT_TOL,
+    max_iter: int = DEFAULT_MAX_ITER,
+) -> BetaFit:
+    """MM baseline whose inner step is one even/odd block-relaxation sweep.
+
+    Same contract as ``solve_mm_tdm`` but the surrogate is only improved,
+    not minimized, per iteration: odd-indexed coordinates are updated
+    given the even ones, then even given odd. Each coordinate update is
+    an independent scalar quadratic minimization, so descent still holds;
+    convergence, however, is dramatically slower.
+    """
+    y = _check_input(y)
+    if not tol > 0:
+        raise ValueError("tol must be positive")
+    if max_iter < 1:
+        raise ValueError("max_iter must be positive")
+    if y.size == 1:
+        return _solve_scalar(float(y[0]), tc, tol)
+
+    n = y.size
+    beta = y.copy()
+    f_cur = objective(beta, y, tc)
+    trace = [f_cur]
+    converged = False
+    iterations = 0
+    odd = np.arange(1, n, 2)
+    even = np.arange(0, n, 2)
+    for _ in range(max_iter):
+        w1 = tc.lambda1 / smooth_abs(beta, tc.epsilon)
+        w2 = tc.lambda2 / smooth_abs(np.diff(beta), tc.epsilon)
+        diag = 1.0 + w1
+        diag[:-1] += w2
+        diag[1:] += w2
+        # sub[i] = a[i, i-1], sup[i] = a[i, i+1] with zero padding at ends
+        sub = np.concatenate(([0.0], -w2))
+        sup = np.concatenate((-w2, [0.0]))
+        for idx in (odd, even):
+            left = np.zeros(n)
+            left[1:] = beta[:-1]
+            right = np.zeros(n)
+            right[:-1] = beta[1:]
+            beta[idx] = (y[idx] - sub[idx] * left[idx] - sup[idx] * right[idx]) / diag[idx]
+        f_new = objective(beta, y, tc)
+        trace.append(f_new)
+        iterations += 1
+        if f_cur - f_new < tol:
+            converged = True
+            f_cur = f_new
+            break
+        f_cur = f_new
+    return BetaFit(beta, f_cur, iterations, converged, np.asarray(trace))
+
+
+def soft_threshold_check(
+    y,
+    lambda1: float,
+    lambda2: float,
+    epsilon: float = 1e-10,
+    tol: float = 1e-8,
+    max_iter: int = 200000,
+) -> float:
+    """Max deviation from the soft-thresholding identity linking lambda1 > 0
+    solutions to the lambda1 = 0 solution.
+
+    Solves at (0, lambda2) and (lambda1, lambda2), applies
+    sign(b0)*( |b0| - lambda1 )_+ elementwise to the first solution, and
+    returns the largest absolute difference from the second. For the
+    unsmoothed criterion the identity is exact; smoothing and solver
+    tolerance contribute a small bias.
+    """
+    if not (lambda1 > 0 and lambda2 > 0):
+        raise ValueError("lambda1 and lambda2 must be positive")
+    fit0 = solve_mm_tdm(y, TuningConstants(0.0, lambda2, epsilon=epsilon), tol, max_iter)
+    fit1 = solve_mm_tdm(y, TuningConstants(lambda1, lambda2, epsilon=epsilon), tol, max_iter)
+    b0 = fit0.beta
+    thresholded = np.sign(b0) * np.maximum(np.abs(b0) - lambda1, 0.0)
+    return float(np.max(np.abs(thresholded - fit1.beta)))

@@ -1,0 +1,201 @@
+"""Core domain types, robust noise estimation, and default tuning constants.
+
+Shared by the continuous fused-lasso solver and the discrete imputation
+solver: the per-SNP measurement track (LogR + BAF), the genotype-state
+table with copy numbers and BAF centers, and the sigma-based defaults for
+the penalty weights.
+"""
+
+from __future__ import annotations
+
+import logging
+import math
+from dataclasses import dataclass
+
+import numpy as np
+
+from .errors import DegenerateSignal, TooFewSnps
+
+logger = logging.getLogger(__name__)
+
+# Below this the 95% trim window retains too few points for a stable sd.
+MIN_SNPS_FOR_SIGMA = 40
+
+TRIM_LOWER_PCT = 2.5
+TRIM_UPPER_PCT = 97.5
+
+
+@dataclass(frozen=True)
+class SnpTrack:
+    """Ordered per-SNP measurements for one sequence (chromosome arm).
+
+    snp_ids : opaque string labels, one per SNP
+    positions : strictly increasing non-negative base-pair coordinates
+    logr : normalized log-intensity, ~0 at copy number 2
+    baf : B-allele frequency in [0, 1]
+    """
+
+    snp_ids: tuple[str, ...]
+    positions: np.ndarray
+    logr: np.ndarray
+    baf: np.ndarray
+
+    def __post_init__(self):
+        positions = np.asarray(self.positions, dtype=np.int64)
+        logr = np.asarray(self.logr, dtype=np.float64)
+        baf = np.asarray(self.baf, dtype=np.float64)
+        object.__setattr__(self, "snp_ids", tuple(self.snp_ids))
+        object.__setattr__(self, "positions", positions)
+        object.__setattr__(self, "logr", logr)
+        object.__setattr__(self, "baf", baf)
+
+        n = len(self.snp_ids)
+        if n < 1:
+            raise ValueError("track must contain at least one SNP")
+        if not (positions.shape == logr.shape == baf.shape == (n,)):
+            raise ValueError("snp_ids, positions, logr, baf must have equal length")
+        if np.any(positions < 0):
+            raise ValueError("positions must be non-negative")
+        if n > 1 and np.any(np.diff(positions) <= 0):
+            raise ValueError("positions must be strictly increasing")
+        if not np.all(np.isfinite(logr)):
+            raise ValueError("logr contains non-finite values")
+        if not np.all(np.isfinite(baf)):
+            raise ValueError("baf contains non-finite values")
+        if np.any(baf < 0.0) or np.any(baf > 1.0):
+            raise ValueError("baf values must lie in [0, 1] (clamp on ingest)")
+        for arr in (positions, logr, baf):
+            arr.flags.writeable = False
+
+    @property
+    def n(self) -> int:
+        return len(self.snp_ids)
+
+    @classmethod
+    def from_values(cls, logr, baf, positions=None, snp_ids=None, clamp_baf=True):
+        """Build a track, clamping out-of-range BAF values on ingest.
+
+        Array noise occasionally overshoots [0, 1]; rejecting such tracks
+        would discard whole sequences, so the load policy clamps and logs
+        a warning with the affected count.
+        """
+        logr = np.asarray(logr, dtype=np.float64)
+        baf = np.asarray(baf, dtype=np.float64)
+        n = logr.size
+        if positions is None:
+            positions = np.arange(1, n + 1, dtype=np.int64) * 5000
+        if snp_ids is None:
+            snp_ids = tuple(f"snp{i + 1:07d}" for i in range(n))
+        if clamp_baf and baf.size:
+            n_clamped = int(np.count_nonzero((baf < 0.0) | (baf > 1.0)))
+            if n_clamped:
+                logger.warning("clamped %d BAF values outside [0, 1]", n_clamped)
+                baf = np.clip(baf, 0.0, 1.0)
+        return cls(snp_ids=snp_ids, positions=positions, logr=logr, baf=baf)
+
+
+@dataclass(frozen=True)
+class TuningConstants:
+    """Penalty weights and smoothing constant shared by both solvers.
+
+    lambda1 : sparsity penalty weight
+    lambda2 : fusion (successive-difference) penalty weight
+    alpha : BAF loss weight in the discrete objective
+    epsilon : smoothing constant of sqrt(x^2 + epsilon)
+    """
+
+    lambda1: float
+    lambda2: float
+    alpha: float = 12.0
+    epsilon: float = 1e-10
+
+    def __post_init__(self):
+        if self.lambda1 < 0 or self.lambda2 < 0 or self.alpha < 0:
+            raise ValueError("lambda1, lambda2, alpha must be non-negative")
+        if not self.epsilon > 0:
+            raise ValueError("epsilon must be positive")
+
+
+@dataclass(frozen=True)
+class CopyState:
+    """One genotype state: allele configuration, copy number, BAF center.
+
+    baf_center is None for the null (copy 0) state, whose BAF loss is the
+    integral over Uniform(0, 1) rather than a squared distance.
+    """
+
+    genotype: str
+    copy_number: int
+    baf_center: float | None
+
+
+# Genotype states in canonical order (copy number ascending, allele count
+# of B ascending within a copy class). Ties in the solvers break toward
+# the lower index in this table.
+TEN_STATES: tuple[CopyState, ...] = (
+    CopyState("phi", 0, None),
+    CopyState("A", 1, 0.0),
+    CopyState("B", 1, 1.0),
+    CopyState("AA", 2, 0.0),
+    CopyState("AB", 2, 0.5),
+    CopyState("BB", 2, 1.0),
+    CopyState("AAA", 3, 0.0),
+    CopyState("AAB", 3, 1.0 / 3.0),
+    CopyState("ABB", 3, 2.0 / 3.0),
+    CopyState("BBB", 3, 1.0),
+)
+
+STATE_BY_NAME = {s.genotype: s for s in TEN_STATES}
+
+#: states grouped by copy number, preserving table order
+STATES_BY_COPY: dict[int, tuple[CopyState, ...]] = {
+    c: tuple(s for s in TEN_STATES if s.copy_number == c) for c in range(4)
+}
+
+#: genotype for (copy_number, B-allele count)
+STATE_BY_COPY_NB: dict[tuple[int, int], CopyState] = {
+    (0, 0): STATE_BY_NAME["phi"],
+    (1, 0): STATE_BY_NAME["A"],
+    (1, 1): STATE_BY_NAME["B"],
+    (2, 0): STATE_BY_NAME["AA"],
+    (2, 1): STATE_BY_NAME["AB"],
+    (2, 2): STATE_BY_NAME["BB"],
+    (3, 0): STATE_BY_NAME["AAA"],
+    (3, 1): STATE_BY_NAME["AAB"],
+    (3, 2): STATE_BY_NAME["ABB"],
+    (3, 3): STATE_BY_NAME["BBB"],
+}
+
+
+def trimmed_std(values) -> float:
+    """Sample sd of the values between their 2.5th and 97.5th percentiles.
+
+    Percentiles use the linear-interpolation (type 7) convention; the
+    retained window is inclusive on both ends. Trimming excludes SNPs in
+    likely deletions/duplications, making the estimate conservative.
+    """
+    v = np.asarray(values, dtype=np.float64)
+    if v.size < MIN_SNPS_FOR_SIGMA:
+        raise TooFewSnps(
+            f"need at least {MIN_SNPS_FOR_SIGMA} values to estimate sigma, got {v.size}"
+        )
+    lo, hi = np.percentile(v, [TRIM_LOWER_PCT, TRIM_UPPER_PCT])
+    kept = v[(v >= lo) & (v <= hi)]
+    s = float(kept.std(ddof=1))
+    if not s > 0.0:
+        raise DegenerateSignal("trimmed LogR values are constant")
+    return s
+
+
+def estimate_sigma(track: SnpTrack) -> float:
+    """Robust noise level of a track's LogR values (trimmed sample sd)."""
+    return trimmed_std(track.logr)
+
+
+def default_lambdas(sigma: float, n: int) -> tuple[float, float]:
+    """Default penalty weights: lambda1 = sigma, lambda2 = 2*sigma*sqrt(ln n)."""
+    if not sigma > 0:
+        raise ValueError("sigma must be positive")
+    if n < 2:
+        raise ValueError("n must be at least 2")
+    return sigma, 2.0 * sigma * math.sqrt(math.log(n))
