@@ -142,6 +142,32 @@ def _split_track(chrom: str, track: SnpTrack, splits) -> list[SnpTrack]:
     return pieces
 
 
+def _sequences(args):
+    """Yield (chrom, track) for every sequence of the input file, cutting
+    chromosomes at the ``--split-at`` positions."""
+    tracks = read_track_file(args.input)
+    splits = _parse_split_at(args.split_at) if args.split_at else {}
+    present = {chrom for chrom, _ in tracks}
+    missing = [chrom for chrom in splits if chrom not in present]
+    if missing:
+        logger.warning(
+            "--split-at names chromosomes absent from the input: %s", ", ".join(missing)
+        )
+    for chrom, whole in tracks:
+        for track in _split_track(chrom, whole, splits):
+            yield chrom, track
+
+
+def _lambdas(args, sigma: float, n: int) -> tuple[float, float]:
+    """The --lambda1/--lambda2 values, each defaulting from sigma and n."""
+    lam1, lam2 = args.lambda1, args.lambda2
+    if lam1 is None or lam2 is None:
+        d1, d2 = default_lambdas(sigma, n)
+        lam1 = d1 if lam1 is None else lam1
+        lam2 = d2 if lam2 is None else lam2
+    return lam1, lam2
+
+
 def _open_output(path):
     if path is None or path == "-":
         return sys.stdout, False
@@ -165,92 +191,60 @@ def _mu_init(text: str) -> tuple[float, float, float, float]:
 
 
 def cmd_segment_fl(args) -> int:
-    tracks = read_track_file(args.input)
-    splits = _parse_split_at(args.split_at) if args.split_at else {}
     lines = ["\t".join(["chrom", "start_pos", "end_pos", "n_snps", "mean_beta", "z", "p", "call"])]
-    for chrom, whole in tracks:
-        for track in _split_track(chrom, whole, splits):
-            sigma = estimate_sigma(track)
-            lam1, lam2 = args.lambda1, args.lambda2
-            if lam1 is None or lam2 is None:
-                d1, d2 = default_lambdas(sigma, track.n)
-                lam1 = d1 if lam1 is None else lam1
-                lam2 = d2 if lam2 is None else lam2
-            tc = TuningConstants(lam1, lam2, epsilon=args.epsilon)
-            fit = fl.solve_mm_tdm(track.logr, tc, tol=args.tol, max_iter=args.max_iter)
-            segments = sc.call_cnvs(
-                fit.beta, sigma, fdr_level=args.fdr, min_snps=args.min_snps
-            )
-            segments = sc.merge_adjacent_calls(fit.beta, segments, sigma)
-            for seg in segments:
-                lines.append(
-                    "\t".join(
-                        [
-                            chrom,
-                            str(int(track.positions[seg.start_index])),
-                            str(int(track.positions[seg.end_index])),
-                            str(seg.n_snps),
-                            _fmt(seg.mean_beta),
-                            _fmt(seg.z),
-                            _fmt(seg.p_value),
-                            seg.call.value,
-                        ]
-                    )
+    for chrom, track in _sequences(args):
+        sigma = estimate_sigma(track)
+        lam1, lam2 = _lambdas(args, sigma, track.n)
+        tc = TuningConstants(lam1, lam2, epsilon=args.epsilon)
+        fit = fl.solve_mm_tdm(track.logr, tc, tol=args.tol, max_iter=args.max_iter)
+        segments = sc.call_cnvs(fit.beta, sigma, fdr_level=args.fdr, min_snps=args.min_snps)
+        segments = sc.merge_adjacent_calls(fit.beta, segments, sigma)
+        for seg in segments:
+            lines.append(
+                "\t".join(
+                    [
+                        chrom,
+                        str(int(track.positions[seg.start_index])),
+                        str(int(track.positions[seg.end_index])),
+                        str(seg.n_snps),
+                        _fmt(seg.mean_beta),
+                        _fmt(seg.z),
+                        _fmt(seg.p_value),
+                        seg.call.value,
+                    ]
                 )
+            )
     _write_lines(args.output, lines)
     return 0
 
 
 def cmd_segment_dpi(args) -> int:
-    tracks = read_track_file(args.input)
-    splits = _parse_split_at(args.split_at) if args.split_at else {}
     state_space = dpi_mod.StateSpace.FOUR if args.state_space == "4" else dpi_mod.StateSpace.TEN
     snp_lines = ["\t".join(["snp_id", "chrom", "pos", "genotype_state", "copy_number"])]
     seg_lines = ["\t".join(["chrom", "start_pos", "end_pos", "n_snps", "copy_number"])]
-    for chrom, whole in tracks:
-        for track in _split_track(chrom, whole, splits):
-            sigma = estimate_sigma(track)
-            lam1, lam2 = args.lambda1, args.lambda2
-            if lam1 is None or lam2 is None:
-                d1, d2 = default_lambdas(sigma, track.n)
-                lam1 = d1 if lam1 is None else lam1
-                lam2 = d2 if lam2 is None else lam2
-            model = dpi_mod.DpiModel(
-                mu=args.mu_init,
-                lambda1=lam1,
-                lambda2=lam2,
-                alpha=args.alpha,
-                state_space=state_space,
-            )
-            fit = dpi_mod.dpi_fit(track, model, max_rounds=args.max_rounds)
-            copies = fit.path.copy_numbers
-            for i, state in enumerate(fit.path.states):
-                snp_lines.append(
-                    "\t".join(
-                        [
-                            track.snp_ids[i],
-                            chrom,
-                            str(int(track.positions[i])),
-                            state.genotype,
-                            str(int(copies[i])),
-                        ]
-                    )
-                )
-            run_start = 0
-            for i in range(1, track.n + 1):
-                if i == track.n or copies[i] != copies[run_start]:
-                    seg_lines.append(
-                        "\t".join(
-                            [
-                                chrom,
-                                str(int(track.positions[run_start])),
-                                str(int(track.positions[i - 1])),
-                                str(i - run_start),
-                                str(int(copies[run_start])),
-                            ]
-                        )
-                    )
-                    run_start = i
+    for chrom, track in _sequences(args):
+        sigma = estimate_sigma(track)
+        lam1, lam2 = _lambdas(args, sigma, track.n)
+        model = dpi_mod.DpiModel(
+            mu=args.mu_init,
+            lambda1=lam1,
+            lambda2=lam2,
+            alpha=args.alpha,
+            state_space=state_space,
+        )
+        fit = dpi_mod.dpi_fit(track, model, max_rounds=args.max_rounds)
+        positions = track.positions.tolist()
+        copies = fit.path.copy_numbers.tolist()
+        snp_lines.extend(
+            f"{sid}\t{chrom}\t{p}\t{st.genotype}\t{c}"
+            for sid, p, st, c in zip(track.snp_ids, positions, fit.path.states, copies)
+        )
+        starts = [0, *(np.flatnonzero(np.diff(fit.path.copy_numbers)) + 1).tolist()]
+        ends = [*starts[1:], len(copies)]
+        seg_lines.extend(
+            f"{chrom}\t{positions[a]}\t{positions[b - 1]}\t{b - a}\t{copies[a]}"
+            for a, b in zip(starts, ends)
+        )
     _write_lines(args.output, snp_lines)
     if args.segments_out:
         _write_lines(args.segments_out, seg_lines)

@@ -33,6 +33,13 @@ DEFAULT_MAX_ROUNDS = 20
 #: groups smaller than this keep their previous mean during re-estimation
 MIN_GROUP_FOR_UPDATE = 5
 
+#: state for code copy_number * 4 + genotype index within the copy class
+_STATE_BY_CODE = tuple(
+    STATES_BY_COPY[c][k] if k < len(STATES_BY_COPY[c]) else None
+    for c in range(4)
+    for k in range(4)
+)
+
 
 class StateSpace(enum.Enum):
     TEN = "10"
@@ -185,49 +192,98 @@ def dp_impute(track: SnpTrack, model: DpiModel) -> StatePath:
     n = track.n
     stage, geno_idx = _class_loss_tables(track, model)
     mu = model.mu
-    pen = [
-        [model.lambda2 * abs(mu[j] - mu[k]) for j in range(4)] for k in range(4)
-    ]
+    # pKJ: fused penalty for stepping from class K at i-1 to class J at i
+    (
+        (p00, p01, p02, p03),
+        (p10, p11, p12, p13),
+        (p20, p21, p22, p23),
+        (p30, p31, p32, p33),
+    ) = [[model.lambda2 * abs(mu[j] - mu[k]) for j in range(4)] for k in range(4)]
 
-    stage_rows = stage.tolist()
-    g = stage_rows[0]
-    back = np.empty((n, 4), dtype=np.int8)
-    p0, p1, p2, p3 = pen
-    for i in range(1, n):
-        row = stage_rows[i]
-        g0, g1, g2, g3 = g
-        gn = [0.0, 0.0, 0.0, 0.0]
-        for j in range(4):
-            best = g0 + p0[j]
-            arg = 0
-            v = g1 + p1[j]
-            if v < best:
-                best = v
-                arg = 1
-            v = g2 + p2[j]
-            if v < best:
-                best = v
-                arg = 2
-            v = g3 + p3[j]
-            if v < best:
-                best = v
-                arg = 3
-            gn[j] = best + row[j]
-            back[i, j] = arg
-        g = gn
+    # Unrolled into locals because per-element numpy access dominated the
+    # loop; each column must keep its order of additions and strict < (the
+    # lowest class wins ties), as criterion 6 compares objectives with ==.
+    rows = zip(*stage.T.tolist())  # per-SNP tuples without a list per row
+    g0, g1, g2, g3 = next(rows)
+    back = []
+    push = back.append
+    for s0, s1, s2, s3 in rows:
+        best = g0 + p00
+        b0 = 0
+        v = g1 + p10
+        if v < best:
+            best = v
+            b0 = 1
+        v = g2 + p20
+        if v < best:
+            best = v
+            b0 = 2
+        v = g3 + p30
+        if v < best:
+            best = v
+            b0 = 3
+        n0 = best + s0
 
+        best = g0 + p01
+        b1 = 0
+        v = g1 + p11
+        if v < best:
+            best = v
+            b1 = 1
+        v = g2 + p21
+        if v < best:
+            best = v
+            b1 = 2
+        v = g3 + p31
+        if v < best:
+            best = v
+            b1 = 3
+        n1 = best + s1
+
+        best = g0 + p02
+        b2 = 0
+        v = g1 + p12
+        if v < best:
+            best = v
+            b2 = 1
+        v = g2 + p22
+        if v < best:
+            best = v
+            b2 = 2
+        v = g3 + p32
+        if v < best:
+            best = v
+            b2 = 3
+        n2 = best + s2
+
+        best = g0 + p03
+        b3 = 0
+        v = g1 + p13
+        if v < best:
+            best = v
+            b3 = 1
+        v = g2 + p23
+        if v < best:
+            best = v
+            b3 = 2
+        v = g3 + p33
+        if v < best:
+            best = v
+            b3 = 3
+        g0, g1, g2, g3 = n0, n1, n2, best + s3
+        push((b0, b1, b2, b3))
+
+    g = (g0, g1, g2, g3)
     c = int(np.argmin(g))  # argmin takes the first minimum: lowest class wins
     objective = g[c]
-    copy_numbers = np.empty(n, dtype=np.int64)
-    for i in range(n - 1, 0, -1):
-        copy_numbers[i] = c
-        c = int(back[i, c])
-    copy_numbers[0] = c
+    path = [c] * n
+    for i in range(n - 2, -1, -1):
+        c = back[i][c]
+        path[i] = c
+    copy_numbers = np.array(path, dtype=np.int64)
 
-    states = tuple(
-        STATES_BY_COPY[cn][geno_idx[i, cn]]
-        for i, cn in enumerate(copy_numbers.tolist())
-    )
+    codes = copy_numbers * 4 + geno_idx[np.arange(n), copy_numbers]
+    states = tuple(map(_STATE_BY_CODE.__getitem__, codes.tolist()))
     return StatePath(states=states, objective=objective, copy_numbers=copy_numbers)
 
 

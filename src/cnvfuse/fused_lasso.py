@@ -43,7 +43,9 @@ def objective(beta, y, tc: TuningConstants) -> float:
     if beta.shape != y.shape:
         raise ValueError(f"length mismatch: beta {beta.shape} vs y {y.shape}")
     r = y - beta
-    value = 0.5 * float(r @ r)
+    # einsum sums without BLAS: `r @ r` wakes an OpenBLAS thread that
+    # spins on the other core for the rest of the solve
+    value = 0.5 * float(np.einsum("i,i->", r, r))
     value += tc.lambda1 * float(np.sum(smooth_abs(beta, tc.epsilon)))
     if beta.size > 1:
         value += tc.lambda2 * float(np.sum(smooth_abs(np.diff(beta), tc.epsilon)))

@@ -96,6 +96,32 @@ def estimate_fdr(segments: list[SegmentCall], q: float) -> float:
     return q * total / called
 
 
+def fdr_cutoff(segments: list[SegmentCall], fdr_level: float) -> float | None:
+    """Largest p-value cutoff q with ``estimate_fdr(segments, q) <= fdr_level``.
+
+    Candidates are the observed p-values in (0, 1), the only points where
+    the estimate changes. One sort of the p-values with a running SNP
+    count gives every candidate's estimate in O(S log S), computed as
+    ``estimate_fdr`` computes it. A p-value that underflows to 0 has an
+    estimated FDR of 0 at q = 0, so when no positive candidate passes but
+    such a segment exists the cutoff is 0.0. None when nothing passes.
+    """
+    total = sum(seg.n_snps for seg in segments)
+    ranked = sorted((seg.p_value, seg.n_snps) for seg in segments)
+    q_star = None
+    called = 0
+    # ascending p, so a later pass overrides an earlier one; within a tie
+    # the count grows to the full count at p, and an earlier pass of the
+    # tie implies that the full count passes too
+    for p, n_snps in ranked:
+        called += n_snps
+        if p == 0.0:
+            q_star = 0.0
+        elif p < 1.0 and p * total / called <= fdr_level:
+            q_star = p
+    return q_star
+
+
 def call_cnvs(
     beta,
     sigma_hat: float,
@@ -105,10 +131,11 @@ def call_cnvs(
 ) -> list[SegmentCall]:
     """Segment the estimate and call deletions/duplications under FDR control.
 
-    The cutoff q is the largest of the observed p-values (the estimated
-    FDR only changes at those points) with estimated FDR <= fdr_level.
-    Segments passing the cutoff are called by the sign of their statistic;
-    calls spanning fewer than ``min_snps`` SNPs revert to neutral. The
+    The cutoff q is ``fdr_cutoff``: the largest observed p-value with
+    estimated FDR <= fdr_level, or 0 when only p-values that underflowed
+    to 0 pass. Segments passing the cutoff are called by the sign of
+    their statistic; calls spanning fewer than ``min_snps`` SNPs revert
+    to neutral. The
     returned list always covers the whole track, neutral segments
     included.
     """
@@ -132,12 +159,7 @@ def call_cnvs(
             )
         )
 
-    candidates = sorted({seg.p_value for seg in segments if 0.0 < seg.p_value < 1.0})
-    q_star = None
-    for q in reversed(candidates):
-        if estimate_fdr(segments, q) <= fdr_level:
-            q_star = q
-            break
+    q_star = fdr_cutoff(segments, fdr_level)
     if q_star is None:
         return segments
 

@@ -25,6 +25,18 @@ TRIM_LOWER_PCT = 2.5
 TRIM_UPPER_PCT = 97.5
 
 
+def _frozen(values, dtype) -> np.ndarray:
+    """Read-only array of ``values``. A writeable array the caller still
+    holds (or a view of one) is copied first, so freezing never reaches
+    the caller's data; read-only arrays are shared."""
+    arr = np.asarray(values, dtype=dtype)
+    if arr.flags.writeable:
+        if arr is values or arr.base is not None:
+            arr = arr.copy()
+        arr.flags.writeable = False
+    return arr
+
+
 @dataclass(frozen=True)
 class SnpTrack:
     """Ordered per-SNP measurements for one sequence (chromosome arm).
@@ -41,9 +53,9 @@ class SnpTrack:
     baf: np.ndarray
 
     def __post_init__(self):
-        positions = np.asarray(self.positions, dtype=np.int64)
-        logr = np.asarray(self.logr, dtype=np.float64)
-        baf = np.asarray(self.baf, dtype=np.float64)
+        positions = _frozen(self.positions, np.int64)
+        logr = _frozen(self.logr, np.float64)
+        baf = _frozen(self.baf, np.float64)
         object.__setattr__(self, "snp_ids", tuple(self.snp_ids))
         object.__setattr__(self, "positions", positions)
         object.__setattr__(self, "logr", logr)
@@ -64,8 +76,6 @@ class SnpTrack:
             raise ValueError("baf contains non-finite values")
         if np.any(baf < 0.0) or np.any(baf > 1.0):
             raise ValueError("baf values must lie in [0, 1] (clamp on ingest)")
-        for arr in (positions, logr, baf):
-            arr.flags.writeable = False
 
     @property
     def n(self) -> int:

@@ -166,6 +166,21 @@ class TestSegmentFl:
             assert not (int(r[1]) < 2_500_000 <= int(r[2]))
 
 
+@pytest.mark.parametrize("route", ["segment-fl", "segment-dpi"])
+def test_split_at_unknown_chromosomes_warned(tmp_path, caplog, route):
+    track = simulate_track(tmp_path, n=600, cnv_length=30, seed=16)
+    plain, split = tmp_path / "plain.tsv", tmp_path / "split.tsv"
+    assert run_cli([route, track, "--output", plain]) == 0
+    caplog.clear()
+    with caplog.at_level("WARNING", logger="cnvfuse.cli"):
+        code = run_cli([route, track, "--split-at", "X:5000,1:9000000,7:1,X:9", "--output", split])
+    assert code == 0
+    assert split.read_bytes() == plain.read_bytes()
+    warnings = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
+    assert len(warnings) == 1
+    assert warnings[0].endswith("absent from the input: X, 7")
+
+
 class TestSegmentDpi:
     def test_noiseless_duplication_states(self, tmp_path, capsys):
         path = simulate_track(

@@ -7,11 +7,13 @@ The optimality oracle enumerates every state sequence outright (10^n or
 import numpy as np
 import pytest
 
+from cnvfuse import simulate
 from cnvfuse.dpi import (
     DEFAULT_COPY_LOGR_MEANS,
     DpiModel,
     StatePath,
     StateSpace,
+    _class_loss_tables,
     dp_impute,
     dpi_fit,
     loss_baf_10,
@@ -21,7 +23,7 @@ from cnvfuse.dpi import (
     reestimate_mu,
 )
 from cnvfuse.errors import NonFiniteInput
-from cnvfuse.signal_model import STATE_BY_NAME, SnpTrack, TEN_STATES
+from cnvfuse.signal_model import STATE_BY_NAME, STATES_BY_COPY, SnpTrack, TEN_STATES
 
 
 def make_track(logr, baf):
@@ -84,6 +86,61 @@ def brute_force_4(track, model):
         acc = (acc + pen[seqs[i - 1], seqs[i]]) + stage[i, seqs[i]]
     best = int(np.argmin(acc))
     return float(acc[best]), seqs[:, best]
+
+
+def reference_dp_impute(track, model):
+    """The plain form of the recursion: a loop over the four target
+    classes with int8 backpointers. The unrolled kernel must reproduce it
+    bit for bit."""
+    n = track.n
+    stage, geno_idx = _class_loss_tables(track, model)
+    mu = model.mu
+    pen = [[model.lambda2 * abs(mu[j] - mu[k]) for j in range(4)] for k in range(4)]
+    stage_rows = stage.tolist()
+    g = stage_rows[0]
+    back = np.empty((n, 4), dtype=np.int8)
+    p0, p1, p2, p3 = pen
+    for i in range(1, n):
+        row = stage_rows[i]
+        g0, g1, g2, g3 = g
+        gn = [0.0, 0.0, 0.0, 0.0]
+        for j in range(4):
+            best = g0 + p0[j]
+            arg = 0
+            v = g1 + p1[j]
+            if v < best:
+                best = v
+                arg = 1
+            v = g2 + p2[j]
+            if v < best:
+                best = v
+                arg = 2
+            v = g3 + p3[j]
+            if v < best:
+                best = v
+                arg = 3
+            gn[j] = best + row[j]
+            back[i, j] = arg
+        g = gn
+    c = int(np.argmin(g))
+    objective = g[c]
+    copy_numbers = np.empty(n, dtype=np.int64)
+    for i in range(n - 1, 0, -1):
+        copy_numbers[i] = c
+        c = int(back[i, c])
+    copy_numbers[0] = c
+    states = tuple(
+        STATES_BY_COPY[cn][geno_idx[i, cn]] for i, cn in enumerate(copy_numbers.tolist())
+    )
+    return StatePath(states=states, objective=objective, copy_numbers=copy_numbers)
+
+
+def assert_same_path(track, model):
+    got = dp_impute(track, model)
+    want = reference_dp_impute(track, model)
+    assert got.objective == want.objective
+    assert np.array_equal(got.copy_numbers, want.copy_numbers)
+    assert got.states == want.states
 
 
 class TestLosses:
@@ -223,6 +280,42 @@ class TestDpImpute:
         model = DpiModel(DEFAULT_COPY_LOGR_MEANS, 0.1, 0.1)
         with pytest.raises(NonFiniteInput):
             dp_impute(track, model)
+
+
+class TestKernelEquivalence:
+    """dp_impute against the reference recursion: same objective (==),
+    copy numbers and genotypes."""
+
+    @pytest.mark.parametrize(
+        "n, cnv_type, seed",
+        [(2000, "del1", 41), (3000, "dup", 42), (4000, "del0", 43), (5000, "del1", 44)],
+    )
+    def test_simulated_tracks(self, n, cnv_type, seed):
+        spec = simulate.SimSpec(n=n, cnv_length=40, cnv_type=simulate.CnvType(cnv_type), seed=seed)
+        track = simulate.generate(spec).track
+        lam1 = float(np.std(track.logr))
+        model = DpiModel(DEFAULT_COPY_LOGR_MEANS, lam1, 2.0 * lam1 * np.sqrt(np.log(n)))
+        assert_same_path(track, model)
+
+    @pytest.mark.parametrize("alpha, lambda2", [(0.0, 0.8), (12.0, 0.0), (0.0, 0.0)])
+    def test_tie_heavy_inputs(self, alpha, lambda2):
+        # LogR at the midpoints between means, BAF on the genotype centers
+        # and halfway between them: many exact ties in both minimizations
+        rng = np.random.default_rng(45)
+        mu = np.asarray(DEFAULT_COPY_LOGR_MEANS)
+        mids = (mu[:-1] + mu[1:]) / 2.0
+        logr = rng.choice(np.concatenate([mids, mu]), 3000)
+        baf = rng.choice([0.0, 0.25, 1.0 / 3.0, 0.5, 2.0 / 3.0, 0.75, 1.0], 3000)
+        track = make_track(logr, baf)
+        for lambda1 in (0.0, 0.3):
+            assert_same_path(track, DpiModel(DEFAULT_COPY_LOGR_MEANS, lambda1, lambda2, alpha=alpha))
+
+    def test_random_models_short_tracks(self):
+        rng = np.random.default_rng(46)
+        for _ in range(50):
+            n = int(rng.integers(1, 200))
+            track = make_track(rng.normal(0, 1, n), rng.uniform(0, 1, n))
+            assert_same_path(track, random_model(rng))
 
 
 class TestReestimateMu:

@@ -12,6 +12,7 @@ from cnvfuse.segment_caller import (
     call_cnvs,
     estimate_fdr,
     extract_segments,
+    fdr_cutoff,
     merge_adjacent_calls,
     normal_p_value,
     segment_z,
@@ -96,6 +97,33 @@ class TestEstimateFdr:
         assert estimate_fdr(high, 0.05) <= estimate_fdr(low, 0.05)
 
 
+def brute_force_cutoff(segments, level):
+    """Largest observed p in (0, 1) passing estimate_fdr, tried one by
+    one; 0.0 when only p-values that underflowed to 0 pass."""
+    for q in sorted({s.p_value for s in segments if 0.0 < s.p_value < 1.0}, reverse=True):
+        if estimate_fdr(segments, q) <= level:
+            return q
+    return 0.0 if any(s.p_value == 0.0 for s in segments) else None
+
+
+class TestFdrCutoff:
+    def test_matches_brute_force_scan(self):
+        rng = np.random.default_rng(7)
+        for _ in range(300):
+            k = int(rng.integers(1, 40))
+            # draw from a small pool so ties, zeros and ones all occur
+            pool = np.concatenate([[0.0, 1.0], 10.0 ** -rng.uniform(0, 8, 6)])
+            segs = [seg(int(n), float(p)) for n, p in zip(rng.integers(1, 300, k), rng.choice(pool, k))]
+            level = float(rng.choice([0.001, 0.01, 0.05, 0.2]))
+            assert fdr_cutoff(segs, level) == brute_force_cutoff(segs, level)
+
+    def test_underflowed_p_alone_passes_at_zero(self):
+        assert fdr_cutoff([seg(5000, 1.0), seg(20, 0.0), seg(4000, 0.3)], 0.05) == 0.0
+
+    def test_nothing_passes(self):
+        assert fdr_cutoff([seg(5000, 1.0), seg(20, 0.5)], 0.05) is None
+
+
 class TestCallCnvs:
     def test_flat_track_yields_no_calls(self):
         rng = np.random.default_rng(2)
@@ -124,6 +152,19 @@ class TestCallCnvs:
         assert called[0].call is Call.DELETION
         assert called[0].start_index >= 395 and called[0].end_index <= 455
         assert sum(s.n_snps for s in merged) == y.size
+
+    def test_underflowed_p_value_is_called(self):
+        # a 20-SNP copy-0 run: z is about -134 and its p-value underflows
+        # to 0, and no other segment of the arm is significant
+        sigma = 0.2
+        depth = -134.0 * math.sqrt(20) * sigma / 20
+        beta = np.concatenate([np.zeros(4000), np.full(20, depth), np.zeros(5000)])
+        segs = call_cnvs(beta, sigma)
+        called = [s for s in segs if s.call is not Call.NEUTRAL]
+        assert len(called) == 1
+        assert called[0].call is Call.DELETION
+        assert called[0].p_value == 0.0 and called[0].z == pytest.approx(-134.0)
+        assert (called[0].start_index, called[0].end_index) == (4000, 4019)
 
     def test_min_snps_filter(self):
         beta = np.concatenate([np.zeros(200), np.full(3, -2.0), np.zeros(200)])

@@ -135,6 +135,21 @@ class TestSnpTrack:
         with pytest.raises(ValueError):
             track.logr[0] = 1.0
 
+    def test_callers_arrays_stay_writeable(self):
+        y = np.zeros(3)
+        x = np.full(3, 0.5)
+        pos = np.array([10, 20, 30])
+        track = SnpTrack.from_values(logr=y, baf=x, positions=pos)
+        assert y.flags.writeable and x.flags.writeable and pos.flags.writeable
+        y[0] = 1.0
+        assert track.logr[0] == 0.0
+
+    def test_read_only_input_is_shared(self):
+        y = np.zeros(3)
+        y.flags.writeable = False
+        track = SnpTrack.from_values(logr=y, baf=np.full(3, 0.5))
+        assert track.logr is y
+
 
 class TestTuningConstants:
     def test_rejects_negative_lambda(self):
