@@ -1,10 +1,15 @@
 """End-to-end tests for the command-line interface."""
 
+import logging
+import math
+
 import numpy as np
 import pytest
 
-from cnvfuse.cli import main, read_track_file
+from cnvfuse import cli
+from cnvfuse.cli import TRACK_COLUMNS, main, read_track_file
 from cnvfuse.errors import TrackFormatError
+from cnvfuse.signal_model import SnpTrack
 
 
 def run_cli(args):
@@ -87,6 +92,231 @@ class TestTrackParsing:
         )
         (_, track), = read_track_file(path)
         assert track.baf.tolist() == [1.0, 0.0]
+
+
+def reference_read_track_file(path):
+    """Line-by-line parser: the tracks, warnings and error messages that
+    ``read_track_file`` must reproduce exactly."""
+    groups = {}
+    order = []
+    with open(path, "r", encoding="utf-8") as fh:
+        header = fh.readline()
+        if not header:
+            raise TrackFormatError(f"{path}: empty file")
+        names = header.rstrip("\n").split("\t")
+        col = {}
+        for want in TRACK_COLUMNS:
+            if want not in names:
+                raise TrackFormatError(f"{path}: missing column '{want}'")
+            col[want] = names.index(want)
+        n_cols = len(names)
+        for lineno, line in enumerate(fh, start=2):
+            line = line.rstrip("\n")
+            if not line:
+                continue
+            parts = line.split("\t")
+            if len(parts) != n_cols:
+                raise TrackFormatError(f"{path}:{lineno}: expected {n_cols} fields")
+            chrom = parts[col["chrom"]]
+            try:
+                pos = int(parts[col["pos"]])
+                logr = float(parts[col["logr"]])
+                baf = float(parts[col["baf"]])
+            except ValueError as exc:
+                raise TrackFormatError(f"{path}:{lineno}: {exc}") from exc
+            if pos < 0:
+                raise TrackFormatError(f"{path}:{lineno}: negative position")
+            if not (math.isfinite(logr) and math.isfinite(baf)):
+                raise TrackFormatError(f"{path}:{lineno}: non-finite logr/baf")
+            if chrom not in groups:
+                groups[chrom] = []
+                order.append(chrom)
+            elif order[-1] != chrom:
+                raise TrackFormatError(
+                    f"{path}:{lineno}: chrom '{chrom}' rows are not contiguous"
+                )
+            rows = groups[chrom]
+            if rows and pos <= rows[-1][1]:
+                raise TrackFormatError(
+                    f"{path}:{lineno}: positions not strictly increasing in chrom '{chrom}'"
+                )
+            rows.append((parts[col["snp_id"]], pos, logr, baf))
+    tracks = []
+    for chrom in order:
+        rows = groups[chrom]
+        track = SnpTrack.from_values(
+            snp_ids=tuple(r[0] for r in rows),
+            positions=np.array([r[1] for r in rows], dtype=np.int64),
+            logr=np.array([r[2] for r in rows]),
+            baf=np.array([r[3] for r in rows]),
+            clamp_baf=True,
+        )
+        tracks.append((chrom, track))
+    return tracks
+
+
+HEADER = "snp_id\tchrom\tpos\tlogr\tbaf\n"
+
+
+def rows(chrom, start, count, step=100):
+    """``count`` well-formed lines of one chromosome."""
+    return "".join(
+        f"{chrom}_{i}\t{chrom}\t{start + i * step}\t{(i % 7 - 3) * 0.0137:.6g}\t{(i % 5) * 0.2:.6g}\n"
+        for i in range(count)
+    )
+
+
+# Each body follows HEADER and a prefix of good chromosome-0 lines (see
+# parse_both), so a case can sit in the first block, span a block
+# boundary or sit in a later block.
+ACCEPTED = {
+    "plain": rows("1", 100, 6),
+    "crlf": rows("1", 100, 4).replace("\n", "\r\n"),
+    "lone_cr": rows("1", 100, 4).replace("\n", "\r"),
+    "blank_lines": "\n\n" + rows("1", 100, 3) + "\n\n" + rows("1", 900, 3) + "\n\n\n",
+    "no_final_newline": rows("1", 100, 4).rstrip("\n"),
+    "several_chroms": rows("1", 100, 4) + rows("2", 50, 5) + rows("X", 7, 1) + rows("10", 1, 3),
+    "whitespace_and_underscores": "a\t1\t 1_000 \t 0.5\t+1e-1\nb\t1\t2_000\t-0\t.5\n",
+    "clamped_baf": "a\t1\t5\t0.0\t1.02\nb\t1\t6\t0.0\t-0.02\nc\t2\t1\t0\t1.5\n",
+    "empty_fields_in_ids": "\t1\t5\t0.0\t0.5\n\t1\t6\t0.0\t0.5\n",
+}
+
+MALFORMED = {
+    "too_few_fields": rows("1", 100, 3) + "r\t1\t900\t0.1\n" + rows("1", 1000, 2),
+    "too_many_fields": rows("1", 100, 3) + "r\t1\t900\t0.1\t0.5\t7\n",
+    "whitespace_only_line": rows("1", 100, 3) + "   \n" + rows("1", 1000, 2),
+    "tab_only_line": rows("1", 100, 2) + "\t\n",
+    "empty_fields": rows("1", 100, 2) + "\t\t\t\t\n",
+    "bad_pos": rows("1", 100, 3) + "r\t1\t9x\t0.1\t0.5\n",
+    "float_pos": rows("1", 100, 3) + "r\t1\t900.0\t0.1\t0.5\n",
+    "bad_logr": rows("1", 100, 3) + "r\t1\t900\tabc\t0.5\n",
+    "bad_baf": rows("1", 100, 3) + "r\t1\t900\t0.1\t\n",
+    "negative_pos": rows("1", 100, 3) + "r\t1\t-5\t0.1\t0.5\n",
+    "negative_first_pos_of_chrom": rows("1", 100, 3) + "r\t2\t-5\t0.1\t0.5\n" + rows("2", 100, 2),
+    "nan_logr": rows("1", 100, 3) + "r\t1\t900\tnan\t0.5\n",
+    "inf_baf": rows("1", 100, 3) + "r\t1\t900\t0.1\t-inf\n",
+    "interleaved": rows("1", 100, 3) + rows("2", 100, 2) + rows("1", 900, 2),
+    "interleaved_late": rows("1", 100, 2) + rows("2", 100, 6) + rows("3", 100, 6) + rows("2", 9000, 1),
+    "duplicate_pos": rows("1", 100, 3) + rows("1", 300, 2),
+    "decreasing_pos": rows("1", 100, 3) + rows("1", 50, 2),
+    "decreasing_after_blank": rows("1", 100, 3) + "\n\n" + rows("1", 50, 2),
+    "two_errors_count_first": rows("1", 100, 2) + "r\t1\n" + "s\t1\t-1\t0\t0\n",
+    "two_errors_order_first": rows("1", 100, 2) + rows("1", 100, 1) + "s\t1\tx\t0\t0\n",
+    "two_errors_same_line": rows("1", 100, 2) + "r\t1\t-1\tnan\t0\n",
+    "bad_last_line_no_newline": rows("1", 100, 3) + "r\t1\t900\t0.1\tz",
+    "crlf_error": (rows("1", 100, 3) + "r\t1\t5\t0\t0\n").replace("\n", "\r\n"),
+}
+
+BLOCK_SIZES = (1, 70, 1 << 20)
+PREFIXES = (0, 1, 4)
+
+
+def outcome(parse, path, caplog):
+    """Tracks as plain values plus the warnings logged, or the error."""
+    caplog.clear()
+    with caplog.at_level(logging.WARNING):
+        try:
+            tracks = parse(path)
+        except Exception as exc:  # compared between the parsers
+            return ("error", type(exc).__name__, str(exc))
+    warnings = [r.getMessage() for r in caplog.records if r.levelno >= logging.WARNING]
+    values = [
+        (
+            chrom,
+            t.snp_ids,
+            t.positions.dtype.str,
+            t.positions.tobytes(),
+            t.logr.tobytes(),
+            t.baf.tobytes(),
+        )
+        for chrom, t in tracks
+    ]
+    return ("ok", values, warnings)
+
+
+def parse_both(tmp_path, monkeypatch, caplog, text):
+    """Outcomes of the reference and of read_track_file on ``text`` under
+    every block size; asserts that they agree and returns the reference's."""
+    path = tmp_path / "track.tsv"
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(text)
+    expected = outcome(reference_read_track_file, path, caplog)
+    for size in BLOCK_SIZES:
+        monkeypatch.setattr(cli, "_BLOCK_SIZE", size)
+        assert outcome(read_track_file, path, caplog) == expected, size
+    return expected
+
+
+class TestParserEquivalence:
+    @pytest.mark.parametrize("prefix", PREFIXES)
+    @pytest.mark.parametrize("case", sorted(ACCEPTED))
+    def test_accepted(self, tmp_path, monkeypatch, caplog, case, prefix):
+        text = HEADER + rows("0", 10, prefix) + ACCEPTED[case]
+        result = parse_both(tmp_path, monkeypatch, caplog, text)
+        assert result[0] == "ok"
+        if case == "clamped_baf":
+            assert result[2] == ["clamped 2 BAF values outside [0, 1]", "clamped 1 BAF values outside [0, 1]"]
+
+    @pytest.mark.parametrize("prefix", PREFIXES)
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_malformed(self, tmp_path, monkeypatch, caplog, case, prefix):
+        text = HEADER + rows("0", 10, prefix) + MALFORMED[case]
+        result = parse_both(tmp_path, monkeypatch, caplog, text)
+        assert result[:2] == ("error", "TrackFormatError")
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "",
+            "\n",
+            "snp_id\tchrom\tpos\tlogr\n" + "a\t1\t1\t0\n",
+            HEADER,
+            HEADER.rstrip("\n"),
+            HEADER.replace("\n", "\r\n") + "\r\n",
+            "extra\tbaf\tpos\tchrom\tlogr\tsnp_id\n" + "x\t0.5\t10\t3\t0.25\tr1\n\n" + "y\t0.1\t20\t3\t-0.5\tr2\n",
+        ],
+        ids=["empty", "blank_header", "missing_column", "header_only",
+             "header_without_newline", "crlf_header_only", "extra_reordered_columns"],
+    )
+    def test_headers(self, tmp_path, monkeypatch, caplog, text):
+        parse_both(tmp_path, monkeypatch, caplog, text)
+
+    def test_field_counts_that_cancel_out(self, tmp_path, monkeypatch, caplog):
+        # a short line then a long one: every value still parses if the
+        # fields were cut into rows by count alone
+        text = "chrom\tpos\tlogr\tbaf\tsnp_id\n" + "1\t900\t0.1\t0.5\n" + "X\t1\t1000\t0.1\t0.5\tid\n"
+        result = parse_both(tmp_path, monkeypatch, caplog, text)
+        assert result[2].endswith("track.tsv:2: expected 5 fields")
+
+    def test_two_errors_name_the_earlier_line(self, tmp_path, monkeypatch, caplog):
+        text = HEADER + rows("1", 100, 5) + "r\t1\t9\tnan\t0\n" + rows("1", 10, 3) + "s\t1\n"
+        result = parse_both(tmp_path, monkeypatch, caplog, text)
+        assert result[2].endswith("track.tsv:7: non-finite logr/baf")
+
+    def test_random_edits(self, tmp_path, monkeypatch, caplog):
+        """Good files with random single-character edits and moved lines."""
+        rng = np.random.default_rng(5)
+        base = rows("1", 100, 8) + rows("2", 100, 8)
+        alphabet = ["\t", "\n", "\r", " ", "-", "_", ".", "0", "9", "e", "n", "1", "2"]
+        kinds = {"ok": 0, "error": 0}
+        for _ in range(150):
+            body = list(base)
+            for _ in range(int(rng.integers(0, 3))):
+                at = int(rng.integers(0, len(body)))
+                edit = rng.integers(0, 3)
+                if edit == 0:
+                    body[at] = alphabet[int(rng.integers(len(alphabet)))]
+                elif edit == 1:
+                    body.insert(at, alphabet[int(rng.integers(len(alphabet)))])
+                else:
+                    del body[at]
+            lines = "".join(body).split("\n")
+            if rng.random() < 0.3:
+                i, j = rng.integers(0, len(lines), size=2)
+                lines[i], lines[j] = lines[j], lines[i]
+            result = parse_both(tmp_path, monkeypatch, caplog, HEADER + "\n".join(lines))
+            kinds[result[0]] += 1
+        assert kinds["ok"] > 10 and kinds["error"] > 10
 
 
 class TestSimulateCommand:
@@ -179,6 +409,21 @@ def test_split_at_unknown_chromosomes_warned(tmp_path, caplog, route):
     warnings = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
     assert len(warnings) == 1
     assert warnings[0].endswith("absent from the input: X, 7")
+
+
+@pytest.mark.parametrize("route", ["segment-fl", "segment-dpi"])
+def test_failing_sequence_is_named(tmp_path, capsys, route):
+    long = simulate_track(tmp_path, "long.tsv", n=2000, cnv_length=30, seed=22)
+    short = simulate_track(tmp_path, "short.tsv", n=30, cnv_length=0, seed=23, chrom=2)
+    merged = tmp_path / "merged.tsv"
+    merged.write_text(long.read_text() + "".join(short.read_text().splitlines(True)[1:]))
+    out = tmp_path / "out.tsv"
+    assert run_cli([route, merged, "--output", out]) == 1
+    assert capsys.readouterr().err == (
+        "cnvfuse: error: chromosome 2 (positions 5000-150000): "
+        "need at least 40 values to estimate sigma, got 30\n"
+    )
+    assert not out.exists()
 
 
 class TestSegmentDpi:

@@ -9,6 +9,7 @@ import numpy as np
 import numpy.linalg as la
 import pytest
 
+from cnvfuse import fused_lasso
 from cnvfuse.errors import NonFiniteInput, ZeroPivot
 from cnvfuse.fused_lasso import (
     TridiagonalSystem,
@@ -22,6 +23,7 @@ from cnvfuse.fused_lasso import (
     thomas_solve,
 )
 from cnvfuse.signal_model import TuningConstants
+from cnvfuse.simulate import CnvType, SimSpec, generate
 
 
 def dense_matrix(system):
@@ -161,6 +163,139 @@ class TestThomasSolve:
         )
         with pytest.raises(ZeroPivot):
             thomas_solve(system)
+
+
+def reference_thomas_solve(system):
+    """Indexed Thomas sweep: the arithmetic, in its order, that
+    ``thomas_solve`` must reproduce bit for bit."""
+    n = system.diag.size
+    b = system.diag.tolist()
+    d = system.rhs.tolist()
+    if n == 1:
+        if abs(b[0]) < 1e-300:
+            raise ZeroPivot("zero pivot at row 0")
+        return np.array([d[0] / b[0]])
+    a = system.lower.tolist()
+    c = system.upper.tolist()
+    cp = [0.0] * (n - 1)
+    dp = [0.0] * n
+    piv = b[0]
+    if abs(piv) < 1e-300:
+        raise ZeroPivot("zero pivot at row 0")
+    cp[0] = c[0] / piv
+    dp[0] = d[0] / piv
+    for i in range(1, n):
+        piv = b[i] - a[i - 1] * cp[i - 1]
+        if abs(piv) < 1e-300:
+            raise ZeroPivot(f"zero pivot at row {i}")
+        if i < n - 1:
+            cp[i] = c[i] / piv
+        dp[i] = (d[i] - a[i - 1] * dp[i - 1]) / piv
+    x = dp
+    for i in range(n - 2, -1, -1):
+        x[i] -= cp[i] * x[i + 1]
+    return np.asarray(x)
+
+
+def random_dominant_tridiagonal(rng, n):
+    """Strictly diagonally dominant system with lower != upper and
+    diagonal entries of either sign."""
+    lower = rng.uniform(-2.0, 2.0, size=n - 1)
+    upper = rng.uniform(-2.0, 2.0, size=n - 1)
+    diag = rng.uniform(0.1, 1.0, size=n)
+    diag[1:] += np.abs(lower)
+    diag[:-1] += np.abs(upper)
+    diag *= rng.choice([-1.0, 1.0], size=n)
+    return TridiagonalSystem(diag=diag, upper=upper, lower=lower, rhs=rng.normal(size=n) * 10.0)
+
+
+def simulated_logr(n, seed, cnv_type=CnvType.DELETION1):
+    spec = SimSpec(n=n, cnv_length=min(50, n // 4), cnv_type=cnv_type, seed=seed)
+    return generate(spec).track.logr
+
+
+def assert_same_bits(x, ref):
+    assert x.dtype == ref.dtype and x.shape == ref.shape
+    assert x.tobytes() == ref.tobytes()
+
+
+class TestThomasEquivalence:
+    """The zip-driven sweep against the indexed reference loop above."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 100, 20000])
+    def test_random_general_systems(self, n):
+        rng = np.random.default_rng(n)
+        for _ in range(20 if n < 20000 else 3):
+            system = random_dominant_tridiagonal(rng, n)
+            assert not np.array_equal(system.lower, system.upper) or n == 1
+            x = thomas_solve(system)
+            ref = reference_thomas_solve(system)
+            assert np.array_equal(x, ref)
+            assert_same_bits(x, ref)
+
+    def test_strided_and_integer_arrays(self):
+        rng = np.random.default_rng(11)
+        wide = random_dominant_tridiagonal(rng, 400)
+        strided = TridiagonalSystem(
+            diag=wide.diag[::2], upper=wide.upper[:-1:2], lower=wide.lower[1::2],
+            rhs=wide.rhs[::2],
+        )
+        integer = TridiagonalSystem(
+            diag=np.array([4, -5, 6]), upper=np.array([1, 2]), lower=np.array([-1, 3]),
+            rhs=np.array([7, 0, -2]),
+        )
+        for system in (strided, integer):
+            assert_same_bits(thomas_solve(system), reference_thomas_solve(system))
+
+    @pytest.mark.parametrize("n,seed", [(500, 1), (4000, 2), (13000, 3)])
+    def test_surrogates_of_simulated_tracks(self, n, seed):
+        y = simulated_logr(n, seed)
+        tc = TuningConstants(0.2, 0.2 * 2 * np.sqrt(np.log(n)))
+        beta = y.copy()
+        for _ in range(4):
+            system = build_surrogate(beta, y, tc)
+            beta = thomas_solve(system)
+            assert_same_bits(beta, reference_thomas_solve(system))
+
+    def test_solve_mm_tdm_unchanged(self, monkeypatch):
+        y = simulated_logr(13000, 7, CnvType.DUPLICATION)
+        tc = TuningConstants(0.2, 0.2 * 2 * np.sqrt(np.log(y.size)))
+        fit = solve_mm_tdm(y, tc)
+        monkeypatch.setattr(fused_lasso, "thomas_solve", reference_thomas_solve)
+        ref = solve_mm_tdm(y, tc)
+        assert fit.iterations == ref.iterations and fit.converged == ref.converged
+        assert_same_bits(fit.beta, ref.beta)
+        assert_same_bits(fit.objective_trace, ref.objective_trace)
+        assert fit.objective == ref.objective
+
+    @pytest.mark.parametrize(
+        "diag,off,row",
+        [
+            ([0.0], [], 0),
+            ([0.0, 1.0, 1.0], [1.0, 1.0], 0),
+            ([1.0, 1.0, 1.0, 1.0], [1.0, 1.0, 1.0], 1),
+            ([2.0, 1.5, 1.0], [1.0, 1.0], 2),
+        ],
+    )
+    def test_zero_pivot_names_the_same_row(self, diag, off, row):
+        system = TridiagonalSystem(
+            diag=np.array(diag), upper=np.array(off), lower=np.array(off),
+            rhs=np.ones(len(diag)),
+        )
+        with pytest.raises(ZeroPivot) as ref:
+            reference_thomas_solve(system)
+        with pytest.raises(ZeroPivot) as new:
+            thomas_solve(system)
+        assert str(new.value) == str(ref.value) == f"zero pivot at row {row}"
+
+    @pytest.mark.parametrize("diag", [[1e-300], [-1e-300], [1.0, 1e-300, 2.0]])
+    def test_pivot_at_the_floor_is_accepted(self, diag):
+        off = [0.0] * (len(diag) - 1)
+        system = TridiagonalSystem(
+            diag=np.array(diag), upper=np.array(off), lower=np.array(off),
+            rhs=np.ones(len(diag)),
+        )
+        assert_same_bits(thomas_solve(system), reference_thomas_solve(system))
 
 
 class TestSolveMmTdm:
