@@ -17,6 +17,7 @@ from .errors import (
     ZeroPivot,
 )
 from .fused_lasso import BetaFit, solve_mm_block, solve_mm_tdm
+from .pipeline import called_copies, fit_dpi, fit_fused_lasso
 from .segment_caller import Call, SegmentCall, call_cnvs, merge_adjacent_calls
 from .signal_model import (
     CopyState,
@@ -49,10 +50,13 @@ __all__ = [
     "TuningConstants",
     "ZeroPivot",
     "call_cnvs",
+    "called_copies",
     "default_lambdas",
     "dp_impute",
     "dpi_fit",
     "estimate_sigma",
+    "fit_dpi",
+    "fit_fused_lasso",
     "generate",
     "merge_adjacent_calls",
     "run_benchmark",

@@ -21,10 +21,12 @@ import numpy as np
 
 from . import dpi as dpi_mod
 from . import fused_lasso as fl
+from . import pipeline
 from . import segment_caller as sc
 from . import simulate as sim
 from .errors import CnvFuseError, TrackFormatError
-from .signal_model import SnpTrack, TuningConstants, default_lambdas, estimate_sigma
+# estimate_sigma and default_lambdas stay names here: perfbench/tracing.py wraps them in this module
+from .signal_model import DEFAULT_EPSILON, SnpTrack, default_lambdas, estimate_sigma  # noqa: F401
 
 logger = logging.getLogger(__name__)
 
@@ -35,6 +37,9 @@ TRACK_COLUMNS = ("snp_id", "chrom", "pos", "logr", "baf")
 # blocks of 32-128 Ki characters parsed a 112 k-row file about 15% faster
 # than blocks of 1 Mi, which hold ~8 MB of field strings at once.
 _BLOCK_SIZE = 1 << 16
+
+# positions are stored as int64
+_MAX_POSITION = (1 << 63) - 1
 
 
 def _fmt(x: float) -> str:
@@ -48,9 +53,9 @@ def read_track_file(path) -> list[tuple[str, SnpTrack]]:
 
     Requires the header columns snp_id, chrom, pos, logr, baf (extras are
     ignored); rejects unsorted or duplicate positions within a chromosome,
-    interleaved chromosome groups, and non-finite numerics. BAF values
-    outside [0, 1] are clamped with a logged warning. Blank lines are
-    skipped; errors name ``path:line``.
+    interleaved chromosome groups, positions outside [0, 2**63 - 1] and
+    non-finite numerics. BAF values outside [0, 1] are clamped with a
+    logged warning. Blank lines are skipped; errors name ``path:line``.
     """
     # chrom -> (snp_ids, positions, logr blocks, baf blocks), in file order
     groups: dict[str, tuple[list, list, list, list]] = {}
@@ -133,7 +138,8 @@ def _add_block(rows, col, n_cols, groups) -> bool:
         if not all(map(operator.lt, islice(pos, a, b), islice(pos, a + 1, b))):
             return False
     # positions rise within each run, so each run starts at its least
-    if min(pos[a] for a in starts) < 0:
+    # and ends at its greatest
+    if min(pos[a] for a in starts) < 0 or max(pos[b - 1] for b in ends) > _MAX_POSITION:
         return False
 
     ids = fields[i_id::stride]
@@ -172,6 +178,8 @@ def _raise_first_error(path, lines, lineno, col, n_cols, groups):
             raise TrackFormatError(f"{path}:{lineno}: {exc}") from exc
         if pos < 0:
             raise TrackFormatError(f"{path}:{lineno}: negative position")
+        if pos > _MAX_POSITION:
+            raise TrackFormatError(f"{path}:{lineno}: position above 2**63 - 1")
         if not (math.isfinite(logr) and math.isfinite(baf)):
             raise TrackFormatError(f"{path}:{lineno}: non-finite logr/baf")
         if chrom != current:
@@ -245,26 +253,13 @@ def _sequences(args):
             yield chrom, track
 
 
-def _lambdas(args, sigma: float, n: int) -> tuple[float, float]:
-    """The --lambda1/--lambda2 values, each defaulting from sigma and n."""
-    lam1, lam2 = args.lambda1, args.lambda2
-    if lam1 is None or lam2 is None:
-        d1, d2 = default_lambdas(sigma, n)
-        lam1 = d1 if lam1 is None else lam1
-        lam2 = d2 if lam2 is None else lam2
-    return lam1, lam2
-
-
-def _fits(args, fit):
-    """Yield (chrom, track, fit(track, sigma, lambda1, lambda2)) for every
-    sequence, with sigma estimated from the track and the lambdas from
-    ``_lambdas``. A CnvFuseError raised for one sequence names its
+def _fits(args, route, **params):
+    """Yield (chrom, track, route(track, --lambda1, --lambda2, **params))
+    for every sequence. A CnvFuseError raised for one sequence names its
     chromosome and first and last positions."""
     for chrom, track in _sequences(args):
         try:
-            sigma = estimate_sigma(track)
-            lam1, lam2 = _lambdas(args, sigma, track.n)
-            result = fit(track, sigma, lam1, lam2)
+            result = route(track, args.lambda1, args.lambda2, **params)
         except CnvFuseError as exc:
             first, last = int(track.positions[0]), int(track.positions[-1])
             raise type(exc)(f"chromosome {chrom} (positions {first}-{last}): {exc}") from exc
@@ -294,14 +289,17 @@ def _mu_init(text: str) -> tuple[float, float, float, float]:
 
 
 def cmd_segment_fl(args) -> int:
-    def fit(track, sigma, lam1, lam2):
-        tc = TuningConstants(lam1, lam2, epsilon=args.epsilon)
-        beta = fl.solve_mm_tdm(track.logr, tc, tol=args.tol, max_iter=args.max_iter).beta
-        segments = sc.call_cnvs(beta, sigma, fdr_level=args.fdr, min_snps=args.min_snps)
-        return sc.merge_adjacent_calls(beta, segments, sigma)
-
+    fits = _fits(
+        args,
+        pipeline.fit_fused_lasso,
+        epsilon=args.epsilon,
+        tol=args.tol,
+        max_iter=args.max_iter,
+        fdr_level=args.fdr,
+        min_snps=args.min_snps,
+    )
     lines = ["\t".join(["chrom", "start_pos", "end_pos", "n_snps", "mean_beta", "z", "p", "call"])]
-    for chrom, track, segments in _fits(args, fit):
+    for chrom, track, (_, _, segments) in fits:
         for seg in segments:
             lines.append(
                 "\t".join(
@@ -322,21 +320,13 @@ def cmd_segment_fl(args) -> int:
 
 
 def cmd_segment_dpi(args) -> int:
-    state_space = dpi_mod.StateSpace.FOUR if args.state_space == "4" else dpi_mod.StateSpace.TEN
-
-    def fit(track, sigma, lam1, lam2):
-        model = dpi_mod.DpiModel(
-            mu=args.mu_init,
-            lambda1=lam1,
-            lambda2=lam2,
-            alpha=args.alpha,
-            state_space=state_space,
-        )
-        return dpi_mod.dpi_fit(track, model, max_rounds=args.max_rounds).path
-
+    fits = _fits(
+        args, pipeline.fit_dpi, alpha=args.alpha, mu_init=args.mu_init, max_rounds=args.max_rounds
+    )
     snp_lines = ["\t".join(["snp_id", "chrom", "pos", "genotype_state", "copy_number"])]
     seg_lines = ["\t".join(["chrom", "start_pos", "end_pos", "n_snps", "copy_number"])]
-    for chrom, track, path in _fits(args, fit):
+    for chrom, track, fit in fits:
+        path = fit.path
         positions = track.positions.tolist()
         copies = path.copy_numbers.tolist()
         snp_lines.extend(
@@ -450,7 +440,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_fl.add_argument("input", help="track TSV (snp_id, chrom, pos, logr, baf)")
     add_common_solver_flags(p_fl)
     p_fl.add_argument("--fdr", type=float, default=sc.DEFAULT_FDR_LEVEL)
-    p_fl.add_argument("--epsilon", type=float, default=1e-10)
+    p_fl.add_argument("--epsilon", type=float, default=DEFAULT_EPSILON)
     p_fl.add_argument("--tol", type=float, default=fl.DEFAULT_TOL)
     p_fl.add_argument("--max-iter", type=int, default=fl.DEFAULT_MAX_ITER)
     p_fl.add_argument("--min-snps", type=int, default=sc.DEFAULT_MIN_SNPS)
@@ -461,7 +451,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common_solver_flags(p_dpi)
     p_dpi.add_argument("--alpha", type=float, default=dpi_mod.DEFAULT_ALPHA)
     p_dpi.add_argument("--mu-init", type=_mu_init, default=dpi_mod.DEFAULT_COPY_LOGR_MEANS, metavar="M0,M1,M2,M3")
-    p_dpi.add_argument("--state-space", choices=("10", "4"), default="10")
+    p_dpi.add_argument("--state-space", choices=("10", "4"), default="10", help="accepted for compatibility; both values give the same result")
     p_dpi.add_argument("--max-rounds", type=int, default=dpi_mod.DEFAULT_MAX_ROUNDS)
     p_dpi.add_argument("--segments-out", default=None, help="also write constant-copy segments here")
     p_dpi.set_defaults(func=cmd_segment_dpi)

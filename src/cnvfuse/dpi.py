@@ -42,6 +42,8 @@ _STATE_BY_CODE = tuple(
 
 
 class StateSpace(enum.Enum):
+    """Accepted for compatibility; both values give the same result."""
+
     TEN = "10"
     FOUR = "4"
 
@@ -51,7 +53,8 @@ class DpiModel:
     """Imputation model: per-copy LogR means plus tuning constants.
 
     The means must be strictly increasing in copy number; re-estimation
-    preserves this by rejecting violating updates.
+    preserves this by rejecting violating updates. ``state_space`` does
+    not change the result (see ``StateSpace``).
     """
 
     mu: tuple[float, float, float, float]
@@ -126,9 +129,10 @@ def loss_baf_4(x: float, copy_number: int) -> float:
 def path_objective(track: SnpTrack, states, model: DpiModel) -> float:
     """Re-evaluate the discrete objective for a given state sequence.
 
-    Uses the per-genotype BAF loss for the ten-state space and the
-    collapsed per-class loss for the four-state space, accumulating in
-    the same order as the recursion.
+    Uses the per-genotype BAF loss, accumulating in the same order as the
+    recursion. On a path from ``dp_impute`` each state is the best
+    genotype of its copy class, so this equals the collapsed per-class
+    loss (``loss_baf_4``) the recursion minimizes.
     """
     y = track.logr
     x = track.baf
@@ -136,12 +140,8 @@ def path_objective(track: SnpTrack, states, model: DpiModel) -> float:
     lam1, lam2, alpha = model.lambda1, model.lambda2, model.alpha
 
     def stage(i: int, state: CopyState) -> float:
-        c = state.copy_number
-        if model.state_space is StateSpace.FOUR:
-            l2 = loss_baf_4(float(x[i]), c)
-        else:
-            l2 = loss_baf_10(float(x[i]), state)
-        return (loss_logr(float(y[i]), state, model) + alpha * l2) + lam1 * abs(mu[c])
+        l2 = loss_baf_10(float(x[i]), state)
+        return (loss_logr(float(y[i]), state, model) + alpha * l2) + lam1 * abs(mu[state.copy_number])
 
     states = list(states)
     acc = stage(0, states[0])

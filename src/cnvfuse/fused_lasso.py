@@ -23,7 +23,7 @@ from itertools import chain
 import numpy as np
 
 from .errors import NonFiniteInput, ZeroPivot
-from .signal_model import TuningConstants
+from .signal_model import DEFAULT_EPSILON, TuningConstants
 
 DEFAULT_TOL = 1e-4
 DEFAULT_MAX_ITER = 10000
@@ -169,16 +169,7 @@ def thomas_solve(system: TridiagonalSystem) -> np.ndarray:
     return np.array(out)
 
 
-def _check_input(y) -> np.ndarray:
-    y = np.asarray(y, dtype=np.float64)
-    if y.ndim != 1 or y.size < 1:
-        raise ValueError("y must be a 1-D vector of length >= 1")
-    if not np.all(np.isfinite(y)):
-        raise NonFiniteInput("y contains non-finite values")
-    return y
-
-
-def _solve_scalar(y0: float, tc: TuningConstants, tol: float) -> BetaFit:
+def _solve_scalar(y0: float, tc: TuningConstants) -> BetaFit:
     # n == 1: minimize 0.5*(y-b)^2 + lambda1*sqrt(b^2+eps) directly.
     # h'(b) = b - y + lambda1*b/||b|| is strictly increasing with a root
     # bracketed by 0 and y; safeguarded Newton converges fast.
@@ -190,25 +181,54 @@ def _solve_scalar(y0: float, tc: TuningConstants, tol: float) -> BetaFit:
     f0 = objective([y0], [y0], tc)
     if y0 == 0.0 or lam == 0.0:
         b = 0.0 if lam > 0.0 else y0
-        fit = objective([b], [y0], tc)
-        return BetaFit(np.array([b]), fit, 1, True, np.array([f0, fit]))
-    lo, hi = (0.0, y0) if y0 > 0 else (y0, 0.0)
-    b = y0
-    for _ in range(200):
-        g = h1(b)
-        if abs(g) < 1e-15 * max(1.0, abs(y0), lam):
-            break
-        if g > 0:
-            hi = b
-        else:
-            lo = b
-        h2 = 1.0 + lam * eps / (b * b + eps) ** 1.5
-        step = b - g / h2
-        b = step if lo < step < hi else 0.5 * (lo + hi)
-        if hi - lo < 1e-17:
-            break
+    else:
+        lo, hi = (0.0, y0) if y0 > 0 else (y0, 0.0)
+        b = y0
+        for _ in range(200):
+            g = h1(b)
+            if abs(g) < 1e-15 * max(1.0, abs(y0), lam):
+                break
+            if g > 0:
+                hi = b
+            else:
+                lo = b
+            h2 = 1.0 + lam * eps / (b * b + eps) ** 1.5
+            step = b - g / h2
+            b = step if lo < step < hi else 0.5 * (lo + hi)
+            if hi - lo < 1e-17:
+                break
     fit = objective([b], [y0], tc)
     return BetaFit(np.array([b]), fit, 1, True, np.array([f0, fit]))
+
+
+def _solve_mm(y, tc: TuningConstants, tol: float, max_iter: int, step) -> BetaFit:
+    """The MM loop of both solvers. Each iteration builds the surrogate at
+    the current iterate and takes ``beta = step(system, beta)``."""
+    y = np.asarray(y, dtype=np.float64)
+    if y.ndim != 1 or y.size < 1:
+        raise ValueError("y must be a 1-D vector of length >= 1")
+    if not np.all(np.isfinite(y)):
+        raise NonFiniteInput("y contains non-finite values")
+    if not tol > 0:
+        raise ValueError("tol must be positive")
+    if max_iter < 1:
+        raise ValueError("max_iter must be positive")
+    if y.size == 1:
+        return _solve_scalar(float(y[0]), tc)
+
+    beta = y.copy()
+    f_cur = objective(beta, y, tc)
+    trace = [f_cur]
+    converged = False
+    for _ in range(max_iter):
+        beta = step(build_surrogate(beta, y, tc), beta)
+        f_new = objective(beta, y, tc)
+        trace.append(f_new)
+        converged = f_cur - f_new < tol
+        f_cur = f_new
+        if converged:
+            break
+    return BetaFit(beta, f_cur, len(trace) - 1, converged, np.asarray(trace))
 
 
 def solve_mm_tdm(
@@ -226,31 +246,20 @@ def solve_mm_tdm(
     (sqrt(lambda1) + 2*sqrt(lambda2)) * sqrt(2*tol) / eps^(1/4) in
     max-norm; in practice it is far smaller (see the test suite).
     """
-    y = _check_input(y)
-    if not tol > 0:
-        raise ValueError("tol must be positive")
-    if max_iter < 1:
-        raise ValueError("max_iter must be positive")
-    if y.size == 1:
-        return _solve_scalar(float(y[0]), tc, tol)
+    return _solve_mm(y, tc, tol, max_iter, lambda system, beta: thomas_solve(system))
 
-    beta = y.copy()
-    f_cur = objective(beta, y, tc)
-    trace = [f_cur]
-    converged = False
-    iterations = 0
-    for _ in range(max_iter):
-        system = build_surrogate(beta, y, tc)
-        beta = thomas_solve(system)
-        f_new = objective(beta, y, tc)
-        trace.append(f_new)
-        iterations += 1
-        if f_cur - f_new < tol:
-            converged = True
-            f_cur = f_new
-            break
-        f_cur = f_new
-    return BetaFit(beta, f_cur, iterations, converged, np.asarray(trace))
+
+def _block_sweep(system: TridiagonalSystem, beta: np.ndarray) -> np.ndarray:
+    """The step of ``solve_mm_block``; updates ``beta`` in place."""
+    # sub[i] = a[i, i-1], sup[i] = a[i, i+1], and the neighbours
+    # left[i] = beta[i-1], right[i] = beta[i+1], with zero padding at ends
+    sub = np.concatenate(([0.0], system.lower))
+    sup = np.concatenate((system.upper, [0.0]))
+    for idx in (slice(1, None, 2), slice(0, None, 2)):
+        left = np.concatenate(([0.0], beta[:-1]))
+        right = np.concatenate((beta[1:], [0.0]))
+        beta[idx] = (system.rhs[idx] - sub[idx] * left[idx] - sup[idx] * right[idx]) / system.diag[idx]
+    return beta
 
 
 def solve_mm_block(
@@ -267,53 +276,14 @@ def solve_mm_block(
     an independent scalar quadratic minimization, so descent still holds;
     convergence, however, is dramatically slower.
     """
-    y = _check_input(y)
-    if not tol > 0:
-        raise ValueError("tol must be positive")
-    if max_iter < 1:
-        raise ValueError("max_iter must be positive")
-    if y.size == 1:
-        return _solve_scalar(float(y[0]), tc, tol)
-
-    n = y.size
-    beta = y.copy()
-    f_cur = objective(beta, y, tc)
-    trace = [f_cur]
-    converged = False
-    iterations = 0
-    odd = np.arange(1, n, 2)
-    even = np.arange(0, n, 2)
-    for _ in range(max_iter):
-        w1 = tc.lambda1 / smooth_abs(beta, tc.epsilon)
-        w2 = tc.lambda2 / smooth_abs(np.diff(beta), tc.epsilon)
-        diag = 1.0 + w1
-        diag[:-1] += w2
-        diag[1:] += w2
-        # sub[i] = a[i, i-1], sup[i] = a[i, i+1] with zero padding at ends
-        sub = np.concatenate(([0.0], -w2))
-        sup = np.concatenate((-w2, [0.0]))
-        for idx in (odd, even):
-            left = np.zeros(n)
-            left[1:] = beta[:-1]
-            right = np.zeros(n)
-            right[:-1] = beta[1:]
-            beta[idx] = (y[idx] - sub[idx] * left[idx] - sup[idx] * right[idx]) / diag[idx]
-        f_new = objective(beta, y, tc)
-        trace.append(f_new)
-        iterations += 1
-        if f_cur - f_new < tol:
-            converged = True
-            f_cur = f_new
-            break
-        f_cur = f_new
-    return BetaFit(beta, f_cur, iterations, converged, np.asarray(trace))
+    return _solve_mm(y, tc, tol, max_iter, _block_sweep)
 
 
 def soft_threshold_check(
     y,
     lambda1: float,
     lambda2: float,
-    epsilon: float = 1e-10,
+    epsilon: float = DEFAULT_EPSILON,
     tol: float = 1e-8,
     max_iter: int = 200000,
 ) -> float:

@@ -24,6 +24,8 @@ MIN_SNPS_FOR_SIGMA = 40
 TRIM_LOWER_PCT = 2.5
 TRIM_UPPER_PCT = 97.5
 
+DEFAULT_EPSILON = 1e-10
+
 
 def _frozen(values, dtype) -> np.ndarray:
     """Read-only array of ``values``. A writeable array the caller still
@@ -106,22 +108,21 @@ class SnpTrack:
 
 @dataclass(frozen=True)
 class TuningConstants:
-    """Penalty weights and smoothing constant shared by both solvers.
+    """Penalty weights and smoothing constant of the fused-lasso criterion
+    (the DP route's weights, alpha included, live in ``dpi.DpiModel``).
 
     lambda1 : sparsity penalty weight
     lambda2 : fusion (successive-difference) penalty weight
-    alpha : BAF loss weight in the discrete objective
     epsilon : smoothing constant of sqrt(x^2 + epsilon)
     """
 
     lambda1: float
     lambda2: float
-    alpha: float = 12.0
-    epsilon: float = 1e-10
+    epsilon: float = DEFAULT_EPSILON
 
     def __post_init__(self):
-        if self.lambda1 < 0 or self.lambda2 < 0 or self.alpha < 0:
-            raise ValueError("lambda1, lambda2, alpha must be non-negative")
+        if self.lambda1 < 0 or self.lambda2 < 0:
+            raise ValueError("lambda1 and lambda2 must be non-negative")
         if not self.epsilon > 0:
             raise ValueError("epsilon must be positive")
 

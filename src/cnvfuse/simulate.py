@@ -20,15 +20,9 @@ import numpy as np
 
 from . import dpi as dpi_mod
 from . import fused_lasso as fl
+from . import pipeline
 from . import segment_caller as sc
-from .signal_model import (
-    STATE_BY_COPY_NB,
-    CopyState,
-    SnpTrack,
-    TuningConstants,
-    default_lambdas,
-    estimate_sigma,
-)
+from .signal_model import DEFAULT_EPSILON, STATE_BY_COPY_NB, CopyState, SnpTrack
 
 
 class CnvType(enum.Enum):
@@ -134,7 +128,11 @@ def score(true_copy, called_copy) -> tuple[float, float, float]:
     called_copy = np.asarray(called_copy)
     if true_copy.shape != called_copy.shape:
         raise ValueError("true_copy and called_copy must have equal length")
-    tp, fp, fn, tn = confusion_counts(true_copy, called_copy)
+    return _rates(*confusion_counts(true_copy, called_copy))
+
+
+def _rates(tp: int, fp: int, fn: int, tn: int) -> tuple[float, float, float]:
+    """(TPR, FPR, FDR) of confusion counts; NaN where a denominator is 0."""
     tpr = tp / (tp + fn) if tp + fn else math.nan
     fpr = fp / (fp + tn) if fp + tn else math.nan
     fdr = fp / (tp + fp) if tp + fp else math.nan
@@ -165,19 +163,7 @@ def dataset1_specs(
     so both are equally represented; per-track seeds derive from ``seed``
     deterministically.
     """
-    child_seeds = np.random.SeedSequence(seed).generate_state(max(count, 1), np.uint64)
-    specs = []
-    for i in range(count):
-        specs.append(
-            SimSpec(
-                n=n,
-                cnv_length=cnv_sizes[(i // 2) % len(cnv_sizes)],
-                cnv_type=CnvType.DELETION1 if i % 2 == 0 else CnvType.DUPLICATION,
-                seed=int(child_seeds[i]),
-                **overrides,
-            )
-        )
-    return specs
+    return dataset2_specs(count, (n,), cnv_sizes, seed, **overrides)
 
 
 def dataset2_specs(
@@ -241,28 +227,6 @@ class _CellAccumulator:
     times_ms: list = field(default_factory=list)
 
 
-def _call_fused_lasso(track, fdr_level, min_snps, tol, max_iter, solver):
-    sigma = estimate_sigma(track)
-    lam1, lam2 = default_lambdas(sigma, track.n)
-    fit = solver(track.logr, TuningConstants(lam1, lam2), tol=tol, max_iter=max_iter)
-    segments = sc.call_cnvs(fit.beta, sigma, fdr_level=fdr_level, min_snps=min_snps)
-    called = np.full(track.n, 2, dtype=np.int64)
-    for seg in segments:
-        if seg.call is sc.Call.DELETION:
-            called[seg.start_index : seg.end_index + 1] = 1
-        elif seg.call is sc.Call.DUPLICATION:
-            called[seg.start_index : seg.end_index + 1] = 3
-    return called, fit.iterations
-
-
-def _call_dpi(track, alpha, mu_init, max_rounds):
-    sigma = estimate_sigma(track)
-    lam1, lam2 = default_lambdas(sigma, track.n)
-    model = dpi_mod.DpiModel(mu=mu_init, lambda1=lam1, lambda2=lam2, alpha=alpha)
-    fit = dpi_mod.dpi_fit(track, model, max_rounds=max_rounds)
-    return fit.path.copy_numbers, max(fit.rounds, 1)
-
-
 def run_benchmark(
     specs: Sequence[SimSpec],
     methods: Sequence[str],
@@ -292,12 +256,21 @@ def run_benchmark(
         for method in methods:
             t0 = time.perf_counter()
             if method == "dpi":
-                called, iters = _call_dpi(truth.track, alpha, mu_init, max_rounds)
-            else:
-                solver = fl.solve_mm_tdm if method == "fused_lasso" else fl.solve_mm_block
-                called, iters = _call_fused_lasso(
-                    truth.track, fdr_level, min_snps, tol, max_iter, solver
+                fit = pipeline.fit_dpi(
+                    truth.track, alpha=alpha, mu_init=mu_init, max_rounds=max_rounds
                 )
+                called, iters = fit.path.copy_numbers, max(fit.rounds, 1)
+            else:
+                _, fit, segments = pipeline.fit_fused_lasso(
+                    truth.track,
+                    epsilon=DEFAULT_EPSILON,
+                    tol=tol,
+                    max_iter=max_iter,
+                    fdr_level=fdr_level,
+                    min_snps=min_snps,
+                    solver=fl.solve_mm_tdm if method == "fused_lasso" else fl.solve_mm_block,
+                )
+                called, iters = pipeline.called_copies(segments, spec.n), fit.iterations
             elapsed_ms = (time.perf_counter() - t0) * 1000.0
             key = (method, spec.n, spec.cnv_length, spec.cnv_type.value)
             cell = cells.setdefault(key, _CellAccumulator())
@@ -312,9 +285,7 @@ def run_benchmark(
     rows = []
     for key in sorted(cells, key=lambda k: (k[0], k[1], k[2], k[3])):
         cell = cells[key]
-        tpr = cell.tp / (cell.tp + cell.fn) if cell.tp + cell.fn else math.nan
-        fpr = cell.fp / (cell.fp + cell.tn) if cell.fp + cell.tn else math.nan
-        fdr = cell.fp / (cell.tp + cell.fp) if cell.tp + cell.fp else math.nan
+        tpr, fpr, fdr = _rates(cell.tp, cell.fp, cell.fn, cell.tn)
         rows.append(
             BenchRow(
                 method=key[0],

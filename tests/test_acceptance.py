@@ -15,6 +15,7 @@ from cnvfuse import dpi as dpi_mod
 from cnvfuse import segment_caller as sc
 from cnvfuse.cli import main as cli_main
 from cnvfuse.fused_lasso import (
+    DEFAULT_MAX_ITER,
     DEFAULT_TOL,
     TridiagonalSystem,
     gradient,
@@ -23,7 +24,9 @@ from cnvfuse.fused_lasso import (
     soft_threshold_check,
     thomas_solve,
 )
+from cnvfuse.pipeline import called_copies, fit_dpi, fit_fused_lasso
 from cnvfuse.signal_model import (
+    DEFAULT_EPSILON,
     SnpTrack,
     TEN_STATES,
     TuningConstants,
@@ -47,17 +50,15 @@ def _finish(num, ok, detail):
 
 
 def _called_copies_fused_lasso(track, fdr_level=0.05, min_snps=5):
-    sigma = estimate_sigma(track)
-    lam1, lam2 = default_lambdas(sigma, track.n)
-    fit = solve_mm_tdm(track.logr, TuningConstants(lam1, lam2))
-    segments = sc.call_cnvs(fit.beta, sigma, fdr_level=fdr_level, min_snps=min_snps)
-    called = np.full(track.n, 2, dtype=np.int64)
-    for seg in segments:
-        if seg.call is sc.Call.DELETION:
-            called[seg.start_index : seg.end_index + 1] = 1
-        elif seg.call is sc.Call.DUPLICATION:
-            called[seg.start_index : seg.end_index + 1] = 3
-    return called
+    _, _, segments = fit_fused_lasso(
+        track,
+        epsilon=DEFAULT_EPSILON,
+        tol=DEFAULT_TOL,
+        max_iter=DEFAULT_MAX_ITER,
+        fdr_level=fdr_level,
+        min_snps=min_snps,
+    )
+    return called_copies(segments, track.n)
 
 
 def test_criterion_1_mm_descent_and_stationarity():
@@ -265,13 +266,12 @@ def _dpi_pooled_counts(specs, alpha):
     tp = fp = fn = tn = 0
     for spec in specs:
         truth = generate(spec)
-        track = truth.track
-        sigma = estimate_sigma(track)
-        lam1, lam2 = default_lambdas(sigma, track.n)
-        model = dpi_mod.DpiModel(
-            dpi_mod.DEFAULT_COPY_LOGR_MEANS, lam1, lam2, alpha=alpha
+        fit = fit_dpi(
+            truth.track,
+            alpha=alpha,
+            mu_init=dpi_mod.DEFAULT_COPY_LOGR_MEANS,
+            max_rounds=dpi_mod.DEFAULT_MAX_ROUNDS,
         )
-        fit = dpi_mod.dpi_fit(track, model)
         a, b, c, d = confusion_counts(truth.true_copy, fit.path.copy_numbers)
         tp += a
         fp += b

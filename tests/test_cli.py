@@ -126,6 +126,8 @@ def reference_read_track_file(path):
                 raise TrackFormatError(f"{path}:{lineno}: {exc}") from exc
             if pos < 0:
                 raise TrackFormatError(f"{path}:{lineno}: negative position")
+            if pos > 2**63 - 1:
+                raise TrackFormatError(f"{path}:{lineno}: position above 2**63 - 1")
             if not (math.isfinite(logr) and math.isfinite(baf)):
                 raise TrackFormatError(f"{path}:{lineno}: non-finite logr/baf")
             if chrom not in groups:
@@ -179,6 +181,7 @@ ACCEPTED = {
     "whitespace_and_underscores": "a\t1\t 1_000 \t 0.5\t+1e-1\nb\t1\t2_000\t-0\t.5\n",
     "clamped_baf": "a\t1\t5\t0.0\t1.02\nb\t1\t6\t0.0\t-0.02\nc\t2\t1\t0\t1.5\n",
     "empty_fields_in_ids": "\t1\t5\t0.0\t0.5\n\t1\t6\t0.0\t0.5\n",
+    "largest_pos": rows("1", 100, 3) + f"r\t1\t{2**63 - 1}\t0.1\t0.5\n",
 }
 
 MALFORMED = {
@@ -193,6 +196,9 @@ MALFORMED = {
     "bad_baf": rows("1", 100, 3) + "r\t1\t900\t0.1\t\n",
     "negative_pos": rows("1", 100, 3) + "r\t1\t-5\t0.1\t0.5\n",
     "negative_first_pos_of_chrom": rows("1", 100, 3) + "r\t2\t-5\t0.1\t0.5\n" + rows("2", 100, 2),
+    "huge_pos": rows("1", 100, 3) + f"r\t1\t{2**63}\t0.1\t0.5\n" + rows("1", 1000, 2),
+    "huge_pos_new_chrom": rows("1", 100, 3) + "r\t2\t99999999999999999999999\t0.1\t0.5\n",
+    "huge_pos_last_line_no_newline": rows("1", 100, 3) + f"r\t1\t{2**64}\t0.1\t0.5",
     "nan_logr": rows("1", 100, 3) + "r\t1\t900\tnan\t0.5\n",
     "inf_baf": rows("1", 100, 3) + "r\t1\t900\t0.1\t-inf\n",
     "interleaved": rows("1", 100, 3) + rows("2", 100, 2) + rows("1", 900, 2),
@@ -317,6 +323,21 @@ class TestParserEquivalence:
             result = parse_both(tmp_path, monkeypatch, caplog, HEADER + "\n".join(lines))
             kinds[result[0]] += 1
         assert kinds["ok"] > 10 and kinds["error"] > 10
+
+
+@pytest.mark.parametrize("size", BLOCK_SIZES)
+@pytest.mark.parametrize("at", [0, 25, 50])
+def test_huge_position_is_a_format_error(tmp_path, monkeypatch, capsys, at, size):
+    # at 50 the bad line is the last one, with no newline after it
+    lines = rows("1", 100, 50).splitlines(True)
+    lines[at:at + 1] = ["r\t1\t99999999999999999999999\t0.1\t0.5" + ("\n" if at < 50 else "")]
+    path = tmp_path / "track.tsv"
+    path.write_text(HEADER + "".join(lines))
+    monkeypatch.setattr(cli, "_BLOCK_SIZE", size)
+    assert run_cli(["segment-fl", path, "--output", tmp_path / "out.tsv"]) == 1
+    err = capsys.readouterr().err
+    assert err == f"cnvfuse: error: {path}:{at + 2}: position above 2**63 - 1\n"
+    assert not (tmp_path / "out.tsv").exists()
 
 
 class TestSimulateCommand:
