@@ -205,6 +205,10 @@ def dp_impute(track: SnpTrack, model: DpiModel) -> StatePath:
     # lowest class wins ties), as criterion 6 compares objectives with ==.
     rows = zip(*stage.T.tolist())  # per-SNP tuples without a list per row
     g0, g1, g2, g3 = next(rows)
+    # bK is the best previous class for class K, kept pre-shifted into bits
+    # 2K..2K+1, so one SNP's backpointers pack into an int below 256: CPython
+    # caches those, and the loop allocates no object the collector counts
+
     back = []
     push = back.append
     for s0, s1, s2, s3 in rows:
@@ -229,15 +233,15 @@ def dp_impute(track: SnpTrack, model: DpiModel) -> StatePath:
         v = g1 + p11
         if v < best:
             best = v
-            b1 = 1
+            b1 = 4
         v = g2 + p21
         if v < best:
             best = v
-            b1 = 2
+            b1 = 8
         v = g3 + p31
         if v < best:
             best = v
-            b1 = 3
+            b1 = 12
         n1 = best + s1
 
         best = g0 + p02
@@ -245,15 +249,15 @@ def dp_impute(track: SnpTrack, model: DpiModel) -> StatePath:
         v = g1 + p12
         if v < best:
             best = v
-            b2 = 1
+            b2 = 16
         v = g2 + p22
         if v < best:
             best = v
-            b2 = 2
+            b2 = 32
         v = g3 + p32
         if v < best:
             best = v
-            b2 = 3
+            b2 = 48
         n2 = best + s2
 
         best = g0 + p03
@@ -261,24 +265,24 @@ def dp_impute(track: SnpTrack, model: DpiModel) -> StatePath:
         v = g1 + p13
         if v < best:
             best = v
-            b3 = 1
+            b3 = 64
         v = g2 + p23
         if v < best:
             best = v
-            b3 = 2
+            b3 = 128
         v = g3 + p33
         if v < best:
             best = v
-            b3 = 3
+            b3 = 192
         g0, g1, g2, g3 = n0, n1, n2, best + s3
-        push((b0, b1, b2, b3))
+        push(b0 | b1 | b2 | b3)
 
     g = (g0, g1, g2, g3)
     c = int(np.argmin(g))  # argmin takes the first minimum: lowest class wins
     objective = g[c]
     path = [c] * n
     for i in range(n - 2, -1, -1):
-        c = back[i][c]
+        c = back[i] >> (c + c) & 3
         path[i] = c
     copy_numbers = np.array(path, dtype=np.int64)
 
