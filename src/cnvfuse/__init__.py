@@ -7,6 +7,14 @@ dynamic programming. A simulator and benchmark harness round out the
 package; the ``cnvfuse`` CLI fronts all of it.
 """
 
+import os
+
+# Neither route gains from a BLAS thread pool, whose idle OpenBLAS threads
+# spin for about 0.1 s of CPU per CLI run. This must run before the first
+# import of numpy; a value set by the user wins, and it does nothing when
+# numpy was imported earlier.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .dpi import DpiModel, StatePath, dp_impute, dpi_fit
 from .errors import (
     CnvFuseError,

@@ -253,16 +253,19 @@ def _sequences(args):
             yield chrom, track
 
 
+def _where(chrom: str, track: SnpTrack) -> str:
+    """Name a sequence in messages: its chromosome, first and last positions."""
+    return f"chromosome {chrom} (positions {int(track.positions[0])}-{int(track.positions[-1])})"
+
+
 def _fits(args, route, **params):
     """Yield (chrom, track, route(track, --lambda1, --lambda2, **params))
-    for every sequence. A CnvFuseError raised for one sequence names its
-    chromosome and first and last positions."""
+    for every sequence. A CnvFuseError raised for one sequence names it."""
     for chrom, track in _sequences(args):
         try:
             result = route(track, args.lambda1, args.lambda2, **params)
         except CnvFuseError as exc:
-            first, last = int(track.positions[0]), int(track.positions[-1])
-            raise type(exc)(f"chromosome {chrom} (positions {first}-{last}): {exc}") from exc
+            raise type(exc)(f"{_where(chrom, track)}: {exc}") from exc
         yield chrom, track, result
 
 
@@ -299,7 +302,11 @@ def cmd_segment_fl(args) -> int:
         min_snps=args.min_snps,
     )
     lines = ["\t".join(["chrom", "start_pos", "end_pos", "n_snps", "mean_beta", "z", "p", "call"])]
-    for chrom, track, (_, _, segments) in fits:
+    for chrom, track, (_, fit, segments) in fits:
+        if not fit.converged:
+            logger.warning(
+                "%s: MM stopped at max_iter=%d without converging", _where(chrom, track), args.max_iter
+            )
         for seg in segments:
             lines.append(
                 "\t".join(

@@ -33,11 +33,15 @@ DEFAULT_MAX_ROUNDS = 20
 #: groups smaller than this keep their previous mean during re-estimation
 MIN_GROUP_FOR_UPDATE = 5
 
-#: state for code copy_number * 4 + genotype index within the copy class
-_STATE_BY_CODE = tuple(
-    STATES_BY_COPY[c][k] if k < len(STATES_BY_COPY[c]) else None
-    for c in range(4)
-    for k in range(4)
+#: state for code copy_number * 4 + genotype index within the copy class, as
+#: an object array so that one take maps a whole path of codes
+_STATE_BY_CODE = np.array(
+    [
+        STATES_BY_COPY[c][k] if k < len(STATES_BY_COPY[c]) else None
+        for c in range(4)
+        for k in range(4)
+    ],
+    dtype=object,
 )
 
 
@@ -151,67 +155,123 @@ def path_objective(track: SnpTrack, states, model: DpiModel) -> float:
     return acc
 
 
-def _class_loss_tables(track: SnpTrack, model: DpiModel):
-    """Per-position stage cost for each copy class, plus the index of the
-    best genotype within the class (lowest table index on ties)."""
-    y = track.logr
+def _stage_columns(track: SnpTrack, model: DpiModel) -> list[np.ndarray]:
+    """Per-position stage cost of each copy class, one array per class:
+    ``((y - mu_j)**2 + alpha * l2_j) + lambda1 * |mu_j|``, where ``l2_j``
+    is the least BAF loss over the class's genotypes."""
     x = track.baf
-    mu = np.asarray(model.mu)
-    l1 = (y[:, None] - mu[None, :]) ** 2
-
-    null_loss = (x**3 + (1.0 - x) ** 3) / 3.0
-    cand1 = np.stack([x**2, (x - 1.0) ** 2])
-    cand2 = np.stack([x**2, (x - 0.5) ** 2, (x - 1.0) ** 2])
-    cand3 = np.stack([x**2, (x - 1.0 / 3.0) ** 2, (x - 2.0 / 3.0) ** 2, (x - 1.0) ** 2])
-    l2 = np.column_stack(
-        [null_loss, cand1.min(axis=0), cand2.min(axis=0), cand3.min(axis=0)]
+    sq0 = x**2
+    sq1 = (x - 1.0) ** 2
+    l2 = (
+        (x**3 + (1.0 - x) ** 3) / 3.0,
+        np.minimum(sq0, sq1),
+        np.minimum(np.minimum(sq0, (x - 0.5) ** 2), sq1),
+        np.minimum(np.minimum(sq0, (x - 1.0 / 3.0) ** 2), np.minimum((x - 2.0 / 3.0) ** 2, sq1)),
     )
-    geno_idx = np.column_stack(
-        [
-            np.zeros(track.n, dtype=np.int8),
-            cand1.argmin(axis=0).astype(np.int8),
-            cand2.argmin(axis=0).astype(np.int8),
-            cand3.argmin(axis=0).astype(np.int8),
-        ]
-    )
-    stage = (l1 + model.alpha * l2) + model.lambda1 * np.abs(mu)[None, :]
-    return stage, geno_idx
+    return [
+        ((track.logr - mu) ** 2 + model.alpha * l2_j) + model.lambda1 * abs(mu)
+        for mu, l2_j in zip(model.mu, l2)
+    ]
 
 
-def dp_impute(track: SnpTrack, model: DpiModel) -> StatePath:
-    """Globally minimize the discrete objective by forward recursion.
+def _genotypes(baf: np.ndarray, copy_numbers: np.ndarray) -> np.ndarray:
+    """Index, within its copy class, of each position's best genotype: the
+    first of the class's genotypes with the least BAF loss."""
+    geno = np.zeros(len(baf), dtype=np.int64)
+    for c in (1, 2, 3):
+        at = np.flatnonzero(copy_numbers == c)
+        if at.size:
+            x = baf[at]
+            first, *rest = STATES_BY_COPY[c]
+            least = (x - first.baf_center) ** 2
+            idx = np.zeros(at.size, dtype=np.int64)
+            for k, state in enumerate(rest, start=1):
+                loss = (x - state.baf_center) ** 2
+                idx[loss < least] = k  # strict: an earlier genotype keeps a tie
+                np.minimum(least, loss, out=least)
+            geno[at] = idx
+    return geno
 
-    The stage cost of position i in state j is the LogR loss plus the
-    weighted BAF loss plus the lasso penalty on the state's mean; each
-    transition adds the fused penalty on the difference of means. Ties in
-    the minimization break toward the lower state index, making the
-    output deterministic.
+
+def _min_plus_path(cols, pen) -> tuple[float, list[int]]:
+    """Exact minimum and first-minimum path of the four-class recursion.
+
+    ``cols`` holds four arrays of non-negative stage costs, one per class,
+    and ``pen[k][j]`` is the penalty for stepping from class k to class j,
+    a line metric ``lambda2 * |mu_j - mu_k|``. Each step minimizes over
+    the previous class with strict ``<``, so the lowest class wins ties.
+    Returns the objective and the class of every position.
     """
-    if not (np.all(np.isfinite(track.logr)) and np.all(np.isfinite(track.baf))):
-        raise NonFiniteInput("track contains non-finite values")
-    n = track.n
-    stage, geno_idx = _class_loss_tables(track, model)
-    mu = model.mu
-    # pKJ: fused penalty for stepping from class K at i-1 to class J at i
     (
         (p00, p01, p02, p03),
         (p10, p11, p12, p13),
         (p20, p21, p22, p23),
         (p30, p31, p32, p33),
-    ) = [[model.lambda2 * abs(mu[j] - mu[k]) for j in range(4)] for k in range(4)]
+    ) = pen
+    # Leader test. If g_k > g_L + p_Lk for every k != L, the triangle
+    # inequality of the metric gives g_k + p_kj > g_L + p_Lj for every j, so
+    # L is the strict best predecessor of all four classes. delta covers the
+    # rounding of the compared sums: every g is at most U, the sum of all
+    # stage costs (a single-class path costs no more). An inf or nan cost or
+    # penalty makes delta inf or nan, and then no test passes.
+    delta = 1e-12 * (sum(float(np.sum(c)) for c in cols) + float(np.max(pen)))
+    (
+        (_, q01, q02, q03),
+        (q10, _, q12, q13),
+        (q20, q21, _, q23),
+        (q30, q31, q32, _),
+    ) = [[p + delta for p in row] for row in pen]
 
     # Unrolled into locals because per-element numpy access dominated the
     # loop; each column must keep its order of additions and strict < (the
     # lowest class wins ties), as criterion 6 compares objectives with ==.
-    rows = zip(*stage.T.tolist())  # per-SNP tuples without a list per row
+    rows = zip(*[c.tolist() for c in cols])
     g0, g1, g2, g3 = next(rows)
+    # the leader: the lowest class with the least g after the last full step
+    lead = 2
     # bK is the best previous class for class K, kept pre-shifted into bits
     # 2K..2K+1, so one SNP's backpointers pack into an int below 256: CPython
-    # caches those, and the loop allocates no object the collector counts
-
+    # caches those, and the loop allocates no object the collector counts.
+    # When the leader test passes, every class steps from the leader, which
+    # packs to 85 * leader. The leader's own step leaves out its penalty: a
+    # finite delta means a finite metric, whose p_LL is 0.0, and g + 0.0 == g
+    # because no g is -0.0 (each stage cost is a square plus non-negative
+    # terms).
     back = []
     push = back.append
     for s0, s1, s2, s3 in rows:
+        if lead == 2:
+            if g0 > g2 + q20 and g1 > g2 + q21 and g3 > g2 + q23:
+                g0 = (g2 + p20) + s0
+                g1 = (g2 + p21) + s1
+                g3 = (g2 + p23) + s3
+                g2 += s2
+                push(170)
+                continue
+        elif lead == 1:
+            if g0 > g1 + q10 and g2 > g1 + q12 and g3 > g1 + q13:
+                g0 = (g1 + p10) + s0
+                g2 = (g1 + p12) + s2
+                g3 = (g1 + p13) + s3
+                g1 += s1
+                push(85)
+                continue
+        elif lead == 3:
+            if g0 > g3 + q30 and g1 > g3 + q31 and g2 > g3 + q32:
+                g0 = (g3 + p30) + s0
+                g1 = (g3 + p31) + s1
+                g2 = (g3 + p32) + s2
+                g3 += s3
+                push(255)
+                continue
+        elif g1 > g0 + q01 and g2 > g0 + q02 and g3 > g0 + q03:
+            g1 = (g0 + p01) + s1
+            g2 = (g0 + p02) + s2
+            g3 = (g0 + p03) + s3
+            g0 += s0
+            push(0)
+            continue
+
         best = g0 + p00
         b0 = 0
         v = g1 + p10
@@ -277,17 +337,46 @@ def dp_impute(track: SnpTrack, model: DpiModel) -> StatePath:
         g0, g1, g2, g3 = n0, n1, n2, best + s3
         push(b0 | b1 | b2 | b3)
 
+        lead = 0
+        best = g0
+        if g1 < best:
+            best = g1
+            lead = 1
+        if g2 < best:
+            best = g2
+            lead = 2
+        if g3 < best:
+            lead = 3
+
     g = (g0, g1, g2, g3)
     c = int(np.argmin(g))  # argmin takes the first minimum: lowest class wins
     objective = g[c]
-    path = [c] * n
-    for i in range(n - 2, -1, -1):
-        c = back[i] >> (c + c) & 3
-        path[i] = c
-    copy_numbers = np.array(path, dtype=np.int64)
+    path = [c]
+    step = path.append
+    for packed in reversed(back):
+        c = packed >> (c + c) & 3
+        step(c)
+    path.reverse()
+    return objective, path
 
-    codes = copy_numbers * 4 + geno_idx[np.arange(n), copy_numbers]
-    states = tuple(map(_STATE_BY_CODE.__getitem__, codes.tolist()))
+
+def dp_impute(track: SnpTrack, model: DpiModel) -> StatePath:
+    """Globally minimize the discrete objective by forward recursion.
+
+    The stage cost of position i in state j is the LogR loss plus the
+    weighted BAF loss plus the lasso penalty on the state's mean; each
+    transition adds the fused penalty on the difference of means. Ties in
+    the minimization break toward the lower state index, making the
+    output deterministic.
+    """
+    if not (np.all(np.isfinite(track.logr)) and np.all(np.isfinite(track.baf))):
+        raise NonFiniteInput("track contains non-finite values")
+    mu = model.mu
+    pen = [[model.lambda2 * abs(mu[j] - mu[k]) for j in range(4)] for k in range(4)]
+    objective, path = _min_plus_path(_stage_columns(track, model), pen)
+    copy_numbers = np.array(path, dtype=np.int64)
+    codes = copy_numbers * 4 + _genotypes(track.baf, copy_numbers)
+    states = tuple(_STATE_BY_CODE[codes].tolist())
     return StatePath(states=states, objective=objective, copy_numbers=copy_numbers)
 
 

@@ -416,6 +416,23 @@ class TestSegmentFl:
         for r in rows:
             assert not (int(r[1]) < 2_500_000 <= int(r[2]))
 
+    def test_unconverged_mm_is_warned(self, tmp_path, caplog, capsys):
+        track = simulate_track(tmp_path, n=600, cnv_length=30, seed=17)
+        out = tmp_path / "seg.tsv"
+        for flags, want in (
+            ([], []),
+            (
+                ["--max-iter", "1"],
+                ["chromosome 1 (positions 5000-3000000): MM stopped at max_iter=1 without converging"],
+            ),
+        ):
+            caplog.clear()
+            with caplog.at_level("WARNING", logger="cnvfuse.cli"):
+                assert run_cli(["segment-fl", track, "--output", out, *flags]) == 0
+            assert [r.getMessage() for r in caplog.records if r.levelname == "WARNING"] == want
+            assert out.read_text().startswith("chrom\tstart_pos")
+            assert capsys.readouterr().out == ""
+
 
 @pytest.mark.parametrize("route", ["segment-fl", "segment-dpi"])
 def test_split_at_unknown_chromosomes_warned(tmp_path, caplog, route):

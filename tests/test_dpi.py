@@ -4,8 +4,15 @@ The optimality oracle enumerates every state sequence outright (10^n or
 4^n candidates, vectorized) and must agree with the recursion exactly.
 """
 
+import math
+
 import numpy as np
 import pytest
+
+try:
+    from hypothesis import given, settings, strategies as st
+except ImportError:  # the property test is skipped without hypothesis
+    given = None
 
 from cnvfuse import simulate
 from cnvfuse.dpi import (
@@ -13,7 +20,7 @@ from cnvfuse.dpi import (
     DpiModel,
     StatePath,
     StateSpace,
-    _class_loss_tables,
+    _min_plus_path,
     dp_impute,
     dpi_fit,
     loss_baf_10,
@@ -88,16 +95,45 @@ def brute_force_4(track, model):
     return float(acc[best]), seqs[:, best]
 
 
-def reference_dp_impute(track, model):
-    """The plain form of the recursion: a loop over the four target
-    classes with int8 backpointers. The unrolled kernel must reproduce it
-    bit for bit."""
-    n = track.n
-    stage, geno_idx = _class_loss_tables(track, model)
+def _class_loss_tables(track: SnpTrack, model: DpiModel):
+    """Per-position stage cost for each copy class, plus the index of the
+    best genotype within the class (lowest table index on ties)."""
+    y = track.logr
+    x = track.baf
+    mu = np.asarray(model.mu)
+    l1 = (y[:, None] - mu[None, :]) ** 2
+
+    null_loss = (x**3 + (1.0 - x) ** 3) / 3.0
+    cand1 = np.stack([x**2, (x - 1.0) ** 2])
+    cand2 = np.stack([x**2, (x - 0.5) ** 2, (x - 1.0) ** 2])
+    cand3 = np.stack([x**2, (x - 1.0 / 3.0) ** 2, (x - 2.0 / 3.0) ** 2, (x - 1.0) ** 2])
+    l2 = np.column_stack(
+        [null_loss, cand1.min(axis=0), cand2.min(axis=0), cand3.min(axis=0)]
+    )
+    geno_idx = np.column_stack(
+        [
+            np.zeros(track.n, dtype=np.int8),
+            cand1.argmin(axis=0).astype(np.int8),
+            cand2.argmin(axis=0).astype(np.int8),
+            cand3.argmin(axis=0).astype(np.int8),
+        ]
+    )
+    stage = (l1 + model.alpha * l2) + model.lambda1 * np.abs(mu)[None, :]
+    return stage, geno_idx
+
+
+def penalties(model):
+    """pen[k][j]: fused penalty for stepping from class k to class j."""
     mu = model.mu
-    pen = [[model.lambda2 * abs(mu[j] - mu[k]) for j in range(4)] for k in range(4)]
-    stage_rows = stage.tolist()
-    g = stage_rows[0]
+    return [[model.lambda2 * abs(mu[j] - mu[k]) for j in range(4)] for k in range(4)]
+
+
+def reference_min_plus(stage_rows, pen):
+    """The plain form of the recursion: a loop over the four target
+    classes with int8 backpointers, on an n x 4 table of stage costs.
+    Returns the objective and the copy number of every position."""
+    n = len(stage_rows)
+    g = list(stage_rows[0])
     back = np.empty((n, 4), dtype=np.int8)
     p0, p1, p2, p3 = pen
     for i in range(1, n):
@@ -129,6 +165,15 @@ def reference_dp_impute(track, model):
         copy_numbers[i] = c
         c = int(back[i, c])
     copy_numbers[0] = c
+    return objective, copy_numbers
+
+
+def reference_dp_impute(track, model):
+    """The reference recursion on the n x 4 loss table, with each
+    position's genotype read from the table's per-class argmin. The
+    library's kernel must reproduce it bit for bit."""
+    stage, geno_idx = _class_loss_tables(track, model)
+    objective, copy_numbers = reference_min_plus(stage.tolist(), penalties(model))
     states = tuple(
         STATES_BY_COPY[cn][geno_idx[i, cn]] for i, cn in enumerate(copy_numbers.tolist())
     )
@@ -141,6 +186,16 @@ def assert_same_path(track, model):
     assert got.objective == want.objective
     assert np.array_equal(got.copy_numbers, want.copy_numbers)
     assert got.states == want.states
+
+
+def assert_same_min_plus(rows, pen):
+    """_min_plus_path on hand-built per-class columns against the reference."""
+    cols = [np.array(c, dtype=float) for c in zip(*rows)]
+    objective, path = _min_plus_path(cols, pen)
+    want_objective, want_path = reference_min_plus(rows, pen)
+    assert objective == want_objective
+    assert path == want_path.tolist()
+    return objective, path
 
 
 class TestLosses:
@@ -316,6 +371,119 @@ class TestKernelEquivalence:
             n = int(rng.integers(1, 200))
             track = make_track(rng.normal(0, 1, n), rng.uniform(0, 1, n))
             assert_same_path(track, random_model(rng))
+
+
+class TestLeaderFastPath:
+    """The leader test of _min_plus_path on hand-built columns, against the
+    reference recursion: gaps at the guard, runs of each leader, leader
+    switches, inf costs, and cases where rounding breaks the triangle
+    inequality of the penalties."""
+
+    @pytest.mark.parametrize("leader", [0, 1, 2, 3])
+    def test_gaps_around_the_guard(self, leader):
+        pen = penalties(DpiModel(DEFAULT_COPY_LOGR_MEANS, 0.0, 0.9))
+        # After a row of zeros, the full step sets g to the next row, whose
+        # least class becomes the leader. One class of the last row is
+        # cheap, so the path ends there and reads that class's backpointer.
+        # the kernel's delta, near enough: the rows' costs sum to 163-172
+        delta = 1e-12 * (168.0 + float(np.max(pen)))
+        for k in range(4):
+            if k == leader:
+                continue
+            for factor in (-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 1.5, 2.0, 8.0):
+                first = [1.0 + pen[leader][m] + 1.0 for m in range(4)]
+                first[leader] = 1.0
+                first[k] = (1.0 + pen[leader][k]) + factor * delta
+                for end in range(4):
+                    second = [50.0] * 4
+                    second[end] = 0.0
+                    assert_same_min_plus([[0.0] * 4, first, second], pen)
+
+    @pytest.mark.parametrize("order", [(0,), (1,), (3,), (2, 1, 2, 3, 0, 3, 1, 0, 2)])
+    def test_runs_of_each_leader(self, order):
+        rng = np.random.default_rng(47)
+        pen = penalties(DpiModel(DEFAULT_COPY_LOGR_MEANS, 0.0, 0.8))
+        rows = []
+        for c in order:
+            block = rng.uniform(1.0, 3.0, (int(rng.integers(20, 60)), 4))
+            block[:, c] = rng.uniform(0.0, 0.5, len(block))
+            rows += block.tolist()
+        _, path = assert_same_min_plus(rows, pen)
+        assert set(path) == set(order)
+
+    def test_inf_costs(self):
+        rng = np.random.default_rng(48)
+        pen = penalties(DpiModel(DEFAULT_COPY_LOGR_MEANS, 0.0, 0.8))
+        rows = rng.uniform(0.0, 3.0, (300, 4))
+        rows[rng.random((300, 4)) < 0.05] = np.inf
+        objective, _ = assert_same_min_plus(rows.tolist(), pen)
+        assert math.isfinite(objective)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_logr_overflow_gives_inf_costs(self):
+        rng = np.random.default_rng(49)
+        logr = rng.normal(0.0, 0.3, 300)
+        logr[[5, 6, 100, 250]] = 1e200
+        track = make_track(logr, rng.uniform(0.0, 1.0, 300))
+        model = DpiModel(DEFAULT_COPY_LOGR_MEANS, 0.2, 0.8)
+        assert dp_impute(track, model).objective == np.inf
+        assert_same_path(track, model)
+
+    @pytest.mark.parametrize(
+        "mu, lambda2, g2",
+        [
+            (DEFAULT_COPY_LOGR_MEANS, 2.06, 0.877),  # the two steps tie
+            ((-4.9998, -0.5403, -0.0548, 0.1719), 0.97, 2.684),  # 2 -> 1 -> 0 is cheaper
+        ],
+    )
+    def test_rounding_breaks_the_triangle_inequality(self, mu, lambda2, g2):
+        # mu_1 lies between mu_0 and mu_2, so exactly p20 == p21 + p10. In
+        # floats the step 2 -> 1 -> 0 here costs no more than 2 -> 0. With g1
+        # one ulp above g2 + p21, a leader test without delta would pass and
+        # step class 0 from class 2, but the first minimum is class 1.
+        pen = penalties(DpiModel(mu, 0.0, lambda2))
+        g1 = math.nextafter(g2 + pen[2][1], math.inf)
+        assert g1 + pen[1][0] <= g2 + pen[2][0]
+        first = [g2 + pen[2][0] + 1.0, g1, g2, g2 + pen[2][3] + 1.0]
+        _, path = assert_same_min_plus([first, [0.0, 100.0, 100.0, 100.0]], pen)
+        assert path == [1, 0]
+
+
+if given is None:
+
+    @pytest.mark.skip(reason="hypothesis is not installed")
+    def test_matches_reference_on_random_tracks():
+        pass
+
+else:
+
+    @st.composite
+    def tracks_and_models(draw):
+        mu = sorted(draw(st.lists(st.floats(-7.0, 1.0), min_size=4, max_size=4, unique=True)))
+        # LogR at the means and midway between them, BAF on the genotype
+        # centres and midway between them: exact ties in both minimizations
+        logr = st.one_of(
+            st.floats(-8.0, 3.0), st.sampled_from(mu + [(a + b) / 2.0 for a, b in zip(mu, mu[1:])])
+        )
+        baf = st.one_of(
+            st.floats(0.0, 1.0), st.sampled_from([0.0, 0.25, 1.0 / 3.0, 0.5, 2.0 / 3.0, 0.75, 1.0])
+        )
+        n = draw(st.integers(1, 40))
+        track = make_track(
+            draw(st.lists(logr, min_size=n, max_size=n)), draw(st.lists(baf, min_size=n, max_size=n))
+        )
+        model = DpiModel(
+            tuple(mu),
+            draw(st.floats(0.0, 2.0)),
+            draw(st.one_of(st.just(0.0), st.floats(0.0, 5.0))),
+            alpha=draw(st.one_of(st.just(0.0), st.floats(0.0, 20.0))),
+        )
+        return track, model
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(tracks_and_models())
+    def test_matches_reference_on_random_tracks(case):
+        assert_same_path(*case)
 
 
 class TestReestimateMu:

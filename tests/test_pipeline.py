@@ -2,11 +2,15 @@
 benchmark's tracer (perfbench/tracing.py) still sees every traced layer."""
 
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import cnvfuse
 from cnvfuse import cli
 from cnvfuse import dpi as dpi_mod
 from cnvfuse import segment_caller as sc
@@ -134,3 +138,19 @@ def test_tracer_sees_every_layer(tmp_path):
     assert metrics["signal_model.sequences"] == 4  # two chromosomes, two routes
     for name in ("fused_lasso.mm_iterations", "segment_caller.segments", "dpi.dp_impute_calls"):
         assert metrics[name] > 0, name
+
+
+@pytest.mark.parametrize("preset, want", [(None, "1"), ("4", "4")])
+def test_import_limits_openblas_threads_unless_set(preset, want):
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    env["PYTHONPATH"] = str(Path(cnvfuse.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c", "import os, cnvfuse; print(os.environ['OPENBLAS_NUM_THREADS'])"],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert out.stdout.strip() == want
