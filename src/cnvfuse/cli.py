@@ -15,7 +15,7 @@ import logging
 import math
 import operator
 import sys
-from itertools import compress, islice
+from itertools import compress
 
 import numpy as np
 
@@ -33,9 +33,9 @@ logger = logging.getLogger(__name__)
 TRACK_COLUMNS = ("snp_id", "chrom", "pos", "logr", "baf")
 
 # Size hint, in characters, of the blocks of whole lines that
-# read_track_file parses at a time. In a fresh process on a 2-vCPU VM,
-# blocks of 32-128 Ki characters parsed a 112 k-row file about 15% faster
-# than blocks of 1 Mi, which hold ~8 MB of field strings at once.
+# read_track_file parses at a time. In fresh processes on a 2-vCPU VM,
+# a 112 k-row file parsed in a median of 115-124 ms with blocks of 64-128 Ki
+# characters, 132-141 ms with 16 Ki and 131-141 ms with 1 Mi.
 _BLOCK_SIZE = 1 << 16
 
 # positions are stored as int64
@@ -57,7 +57,7 @@ def read_track_file(path) -> list[tuple[str, SnpTrack]]:
     non-finite numerics. BAF values outside [0, 1] are clamped with a
     logged warning. Blank lines are skipped; errors name ``path:line``.
     """
-    # chrom -> (snp_ids, positions, logr blocks, baf blocks), in file order
+    # chrom -> (snp_ids, position blocks, logr blocks, baf blocks), in file order
     groups: dict[str, tuple[list, list, list, list]] = {}
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline()
@@ -69,11 +69,13 @@ def read_track_file(path) -> list[tuple[str, SnpTrack]]:
                 raise TrackFormatError(f"{path}: missing column '{want}'")
         col = [names.index(want) for want in TRACK_COLUMNS]
         n_cols = len(names)
+        numeric = dict(zip(col[2:], (np.int64, np.float64, np.float64)))
+        row_dtype = np.dtype([(f"f{i}", numeric.get(i, object)) for i in range(n_cols)])
         lineno = 2
         while lines := fh.readlines(_BLOCK_SIZE):
             rows = [line for line in lines if line != "\n"] if "\n" in lines else lines
-            if rows and not _add_block(rows, col, n_cols, groups):
-                _raise_first_error(path, lines, lineno, col, n_cols, groups)
+            if rows and not _add_block(rows, row_dtype, col, groups):
+                _add_lines(path, lines, lineno, col, n_cols, groups)
             lineno += len(lines)
 
     return [
@@ -81,7 +83,7 @@ def read_track_file(path) -> list[tuple[str, SnpTrack]]:
             chrom,
             SnpTrack.from_values(
                 snp_ids=tuple(ids),
-                positions=np.array(pos, dtype=np.int64),
+                positions=np.concatenate(pos),
                 logr=np.concatenate(logr),
                 baf=np.concatenate(baf),
                 clamp_baf=True,
@@ -91,37 +93,40 @@ def read_track_file(path) -> list[tuple[str, SnpTrack]]:
     ]
 
 
-def _add_block(rows, col, n_cols, groups) -> bool:
-    """Check a block of non-blank lines a column at a time and append it to
-    ``groups``. Returns False, leaving ``groups`` as it was, when any line
-    breaks a rule of ``read_track_file``.
+def _add_block(rows, row_dtype, col, groups) -> bool:
+    """Parse a block of non-blank lines with numpy's C reader, check it and
+    append it to ``groups``. Returns False, leaving ``groups`` as it was,
+    when the reader must not take the block or any line breaks a rule of
+    ``read_track_file``; ``_add_lines`` then reads it line by line.
 
-    Every rule here is also checked line by line in ``_raise_first_error``,
-    which names the bad line; a new rule must go into both. The random-edit
-    tests in tests/test_cli.py compare the two against a line-by-line
-    reference parser."""
+    The reader checks each line's field count and parses the numbers;
+    every other rule is checked here and again, line by line, in
+    ``_add_lines``, so a new rule must go into both. The random-edit tests
+    in tests/test_cli.py compare the two against a line-by-line reference
+    parser."""
+    # numpy's integer reader accepts digits next to non-ASCII characters
+    # (it reads "5\u2213" as 8725), and both of its readers take
+    # \x1c-\x1f for spaces, all of which int() and float() reject
     text = "".join(rows)
-    if not text.endswith("\n"):
-        text += "\n"
-    # each line end becomes a lone "\n" field, so the lines all have
-    # n_cols fields exactly when those fields sit at a stride of n_cols + 1
-    fields = text.replace("\n", "\t\n\t").split("\t")
-    n, stride = len(rows), n_cols + 1
-    if len(fields) != n * stride + 1 or fields[n_cols::stride].count("\n") != n:
+    if not text.isascii() or "\x1c" in text or "\x1d" in text or "\x1e" in text or "\x1f" in text:
         return False
-    fields.pop()
-    i_id, i_chrom, i_pos, i_logr, i_baf = col
     try:
-        pos = list(map(int, fields[i_pos::stride]))
-        logr = np.array(list(map(float, fields[i_logr::stride])))
-        baf = np.array(list(map(float, fields[i_baf::stride])))
+        table = np.loadtxt(
+            rows, delimiter="\t", comments=None, quotechar=None, dtype=row_dtype, ndmin=1
+        )
     except ValueError:
         return False
-    if not (np.isfinite(logr).all() and np.isfinite(baf).all()):
+    i_id, i_chrom, i_pos, i_logr, i_baf = (f"f{i}" for i in col)
+    # copies, so the blocks kept do not hold the table's strings
+    pos = table[i_pos].copy()
+    logr = table[i_logr].copy()
+    baf = table[i_baf].copy()
+    if not (np.isfinite(logr).all() and np.isfinite(baf).all()) or pos.min() < 0:
         return False
 
     # runs of rows with one chrom: [starts[k], ends[k])
-    chroms = fields[i_chrom::stride]
+    chroms = table[i_chrom].tolist()
+    n = len(chroms)
     starts = [0]
     if chroms.count(chroms[0]) != n:
         starts += compress(range(1, n), map(operator.ne, chroms, chroms[1:]))
@@ -132,36 +137,33 @@ def _add_block(rows, col, n_cols, groups) -> bool:
     new = run_chroms[1:] if continues else run_chroms
     if len(set(new)) < len(new) or any(chrom in groups for chrom in new):
         return False
-    if continues and pos[0] <= groups[current][1][-1]:
+    if continues and pos[0] <= groups[current][1][-1][-1]:
         return False
-    for a, b in zip(starts, ends):
-        if not all(map(operator.lt, islice(pos, a, b), islice(pos, a + 1, b))):
-            return False
-    # positions rise within each run, so each run starts at its least
-    # and ends at its greatest
-    if min(pos[a] for a in starts) < 0 or max(pos[b - 1] for b in ends) > _MAX_POSITION:
+    rises = np.diff(pos) > 0
+    rises[[a - 1 for a in starts[1:]]] = True  # a new chrom may start lower
+    if not rises.all():
         return False
 
-    ids = fields[i_id::stride]
+    ids = table[i_id].tolist()
     for chrom, a, b in zip(run_chroms, starts, ends):
-        if chrom not in groups:
-            groups[chrom] = ([], [], [], [])
-        g_ids, g_pos, g_logr, g_baf = groups[chrom]
+        g_ids, g_pos, g_logr, g_baf = groups.setdefault(chrom, ([], [], [], []))
         g_ids.extend(ids[a:b])
-        g_pos.extend(pos[a:b])
+        g_pos.append(pos[a:b])
         g_logr.append(logr[a:b])
         g_baf.append(baf[a:b])
     return True
 
 
-def _raise_first_error(path, lines, lineno, col, n_cols, groups):
-    """Raise the TrackFormatError of the first bad line of a block that
-    ``_add_block`` rejected. ``lines`` is the block as read, blank lines
-    included, from line ``lineno``; ``groups`` holds the earlier blocks."""
-    _, i_chrom, i_pos, i_logr, i_baf = col
+def _add_lines(path, lines, lineno, col, n_cols, groups):
+    """Parse a block line by line with Python's ``int`` and ``float`` and
+    append it to ``groups``, or raise the TrackFormatError of its first bad
+    line. ``lines`` is the block as read, blank lines included, from line
+    ``lineno``; ``groups`` holds the earlier blocks."""
+    i_id, i_chrom, i_pos, i_logr, i_baf = col
     seen = set(groups)
     current = next(reversed(groups), None)
-    last = groups[current][1][-1] if groups else None
+    last = int(groups[current][1][-1][-1]) if groups else None
+    runs = []  # (chrom, ids, positions, logr, baf) per run of one chrom
     for lineno, line in enumerate(lines, start=lineno):
         line = line.rstrip("\n")
         if not line:
@@ -194,7 +196,19 @@ def _raise_first_error(path, lines, lineno, col, n_cols, groups):
                 f"{path}:{lineno}: positions not strictly increasing in chrom '{chrom}'"
             )
         last = pos
-    raise AssertionError(f"{path}:{lineno}: block rejected but no line is bad")
+        if not runs or runs[-1][0] != chrom:
+            runs.append((chrom, [], [], [], []))
+        _, r_ids, r_pos, r_logr, r_baf = runs[-1]
+        r_ids.append(parts[i_id])
+        r_pos.append(pos)
+        r_logr.append(logr)
+        r_baf.append(baf)
+    for chrom, ids, pos, logr, baf in runs:
+        g_ids, g_pos, g_logr, g_baf = groups.setdefault(chrom, ([], [], [], []))
+        g_ids.extend(ids)
+        g_pos.append(np.array(pos, dtype=np.int64))
+        g_logr.append(np.array(logr, dtype=np.float64))
+        g_baf.append(np.array(baf, dtype=np.float64))
 
 
 def _parse_split_at(value: str) -> dict[str, list[int]]:

@@ -178,6 +178,28 @@ STATE_BY_COPY_NB: dict[tuple[int, int], CopyState] = {
 }
 
 
+def _percentiles(values: np.ndarray, q) -> np.ndarray:
+    """``np.percentile(values, q)`` of a 1-D float64 array, for percentiles
+    0 <= q < 100: numpy 2.4's linear method step for step, so the result
+    is bit-identical, but without its ``np.unique`` call, which imports
+    ``numpy.ma`` (10-20 ms) in every fresh process."""
+    virtual = (values.size - 1) * np.true_divide(q, 100)
+    below = np.floor(virtual).astype(np.intp)
+    above = below + 1
+    arr = values.flatten()
+    # numpy's own kth set, np.unique([0, -1, *below, *above]): it decides
+    # which of two equal values (0.0 and -0.0) lands at a position
+    arr.partition(sorted({0, -1, *below.tolist(), *above.tolist()}))
+    a, b = arr[below], arr[above]
+    gamma = virtual - below
+    diff = b - a
+    result = a + diff * gamma
+    np.subtract(b, diff * (1 - gamma), out=result, where=gamma >= 0.5)
+    if np.isnan(arr[-1]):
+        result[:] = arr[-1]
+    return result
+
+
 def trimmed_std(values) -> float:
     """Sample sd of the values between their 2.5th and 97.5th percentiles.
 
@@ -190,7 +212,7 @@ def trimmed_std(values) -> float:
         raise TooFewSnps(
             f"need at least {MIN_SNPS_FOR_SIGMA} values to estimate sigma, got {v.size}"
         )
-    lo, hi = np.percentile(v, [TRIM_LOWER_PCT, TRIM_UPPER_PCT])
+    lo, hi = _percentiles(v, [TRIM_LOWER_PCT, TRIM_UPPER_PCT])
     kept = v[(v >= lo) & (v <= hi)]
     s = float(kept.std(ddof=1))
     if not s > 0.0:

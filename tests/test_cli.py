@@ -182,6 +182,12 @@ ACCEPTED = {
     "clamped_baf": "a\t1\t5\t0.0\t1.02\nb\t1\t6\t0.0\t-0.02\nc\t2\t1\t0\t1.5\n",
     "empty_fields_in_ids": "\t1\t5\t0.0\t0.5\n\t1\t6\t0.0\t0.5\n",
     "largest_pos": rows("1", 100, 3) + f"r\t1\t{2**63 - 1}\t0.1\t0.5\n",
+    # int() and float() take these; the C reader must leave them to the
+    # line-by-line reader or read them the same way
+    "nonascii_digits": "a\t1\t\u0661\u0662\t0.1\t0.5\nb\t1\t13\t0.2\t0.5\n",
+    "vt_ff_spaces": "a\t1\t\x0b5\x0c\t0.1\t0.5\nb\t1\t6\t\x0b0.2\x0c\t\x0c0.5\n",
+    "nbsp": "a\t1\t\xa05\t0.1\t0.5\nb\t1\t6\t0.2\xa0\t0.5\n",
+    "nul_hash_quote_ids": 'a\x00#"\t1\t5\t0.1\t0.5\n#b\t1\t6\t0.1\t0.5\n"q"\t"2#\t7\t0.1\t0.5\n',
 }
 
 MALFORMED = {
@@ -211,6 +217,11 @@ MALFORMED = {
     "two_errors_same_line": rows("1", 100, 2) + "r\t1\t-1\tnan\t0\n",
     "bad_last_line_no_newline": rows("1", 100, 3) + "r\t1\t900\t0.1\tz",
     "crlf_error": (rows("1", 100, 3) + "r\t1\t5\t0\t0\n").replace("\n", "\r\n"),
+    # numpy's readers take these (\x1c-\x1f as spaces, "5\u2213" as 8725);
+    # int() and float() reject them
+    "file_separator_in_pos": rows("1", 100, 3) + "r\t1\t\x1c900\t0.1\t0.5\n",
+    "unit_separator_in_logr": rows("1", 100, 3) + "r\t1\t900\t0.1\x1f\t0.5\n",
+    "symbol_after_pos": rows("1", 100, 3) + "r\t1\t5\u2213\t0.1\t0.5\n",
 }
 
 BLOCK_SIZES = (1, 70, 1 << 20)
@@ -323,6 +334,29 @@ class TestParserEquivalence:
             result = parse_both(tmp_path, monkeypatch, caplog, HEADER + "\n".join(lines))
             kinds[result[0]] += 1
         assert kinds["ok"] > 10 and kinds["error"] > 10
+
+    def test_random_edits_wide_alphabet(self, tmp_path, monkeypatch, caplog):
+        """Good files with 1-3 random edits drawn from characters that
+        numpy's reader and int()/float() may read differently."""
+        rng = np.random.default_rng(7)
+        base = rows("1", 100, 8) + rows("2", 100, 8)
+        alphabet = ["\t", "\n", "\r", " ", "-", "_", ".", "0", "9", "e", "n", "1", "2",
+                    "\x0b", "\x0c", "\x1c", "\x1f", "\x00", "\xa0", "\u0661", "\u2213", "+", "#", '"']
+        kinds = {"ok": 0, "error": 0}
+        for _ in range(400):
+            body = list(base)
+            for _ in range(int(rng.integers(1, 4))):
+                at = int(rng.integers(0, len(body)))
+                edit = rng.integers(0, 3)
+                if edit == 0:
+                    body[at] = alphabet[int(rng.integers(len(alphabet)))]
+                elif edit == 1:
+                    body.insert(at, alphabet[int(rng.integers(len(alphabet)))])
+                else:
+                    del body[at]
+            result = parse_both(tmp_path, monkeypatch, caplog, HEADER + "".join(body))
+            kinds[result[0]] += 1
+        assert kinds["ok"] > 40 and kinds["error"] > 40
 
 
 @pytest.mark.parametrize("size", BLOCK_SIZES)

@@ -154,3 +154,18 @@ def test_import_limits_openblas_threads_unless_set(preset, want):
         check=True,
     )
     assert out.stdout.strip() == want
+
+
+def test_cli_runs_do_not_import_numpy_ma(tmp_path):
+    # np.percentile and np.median import numpy.ma (10-20 ms) on first use
+    code = (
+        "import sys\n"
+        "from cnvfuse import cli\n"
+        "for route in ('segment-fl', 'segment-dpi'):\n"
+        "    assert cli.main([route, sys.argv[1], '--output', sys.argv[2]]) == 0\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    argv = [sys.executable, "-c", code, str(_track_file(tmp_path)), str(tmp_path / "out.tsv")]
+    env = dict(os.environ, PYTHONPATH=str(Path(cnvfuse.__file__).resolve().parents[1]))
+    out = subprocess.run(argv, env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"

@@ -8,11 +8,14 @@ from scipy import stats
 
 from cnvfuse.errors import DegenerateSignal, TooFewSnps
 from cnvfuse.signal_model import (
+    TRIM_LOWER_PCT,
+    TRIM_UPPER_PCT,
     STATE_BY_COPY_NB,
     STATES_BY_COPY,
     SnpTrack,
     TEN_STATES,
     TuningConstants,
+    _percentiles,
     default_lambdas,
     estimate_sigma,
     trimmed_std,
@@ -67,6 +70,31 @@ class TestEstimateSigma:
         rng = np.random.default_rng(14)
         y = rng.normal(size=300)
         assert trimmed_std(c * y) == pytest.approx(abs(c) * trimmed_std(y), rel=1e-10)
+
+
+def tied_values(rng, n):
+    """``n`` draws from a few values, 0.0 and -0.0 among them."""
+    pool = np.concatenate([rng.normal(size=int(rng.integers(1, 8))).round(1), [0.0, -0.0]])
+    return rng.choice(pool, size=n)
+
+
+class TestPartitionPercentiles:
+    TRIM = [TRIM_LOWER_PCT, TRIM_UPPER_PCT]
+
+    def test_bit_identical_to_numpy(self):
+        rng = np.random.default_rng(41)
+        lengths = [40, 41, 42, 79, 80, 81, 401, 20_000, *rng.integers(40, 20_001, size=30)]
+        for n in lengths:
+            for values in (tied_values(rng, n), rng.normal(size=n), np.zeros(n) * -1.0):
+                kept = values.copy()
+                got = _percentiles(values, self.TRIM)
+                assert got.tobytes() == np.percentile(values, self.TRIM).tobytes(), n
+                assert values.tobytes() == kept.tobytes()
+
+    def test_nan_input_gives_nan(self):
+        values = np.random.default_rng(42).normal(size=100)
+        values[[3, 50]] = np.nan
+        assert np.isnan(_percentiles(values, self.TRIM)).all()
 
 
 class TestDefaultLambdas:
