@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import NonFiniteInput
-from .signal_model import CopyState, SnpTrack, STATES_BY_COPY
+from .signal_model import CopyState, SnpTrack, STATES_BY_COPY, _median
 
 #: default per-copy LogR means for Illumina-style arrays (copy 0..3)
 DEFAULT_COPY_LOGR_MEANS = (-5.5923, -0.6313, -0.0045, 0.3252)
@@ -378,19 +378,6 @@ def dp_impute(track: SnpTrack, model: DpiModel) -> StatePath:
     codes = copy_numbers * 4 + _genotypes(track.baf, copy_numbers)
     states = tuple(_STATE_BY_CODE[codes].tolist())
     return StatePath(states=states, objective=objective, copy_numbers=copy_numbers)
-
-
-def _median(values: np.ndarray) -> np.float64:
-    """``np.median(values)`` of a non-empty 1-D float64 array: numpy 2.4's
-    steps, so the result is bit-identical, but without its NaN check, which
-    imports ``numpy.ma`` (10-20 ms) in every fresh process."""
-    h = values.size // 2
-    odd = values.size % 2
-    part = np.partition(values, [h, -1] if odd else [h - 1, h, -1])
-    if np.isnan(part[-1]):
-        return part[-1]
-    # the mean of one value too: np.mean([-0.0]) is 0.0
-    return np.mean(part[h : h + 1] if odd else part[h - 1 : h + 1])
 
 
 def reestimate_mu(track: SnpTrack, path: StatePath, model: DpiModel) -> DpiModel:

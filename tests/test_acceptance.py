@@ -331,22 +331,10 @@ def _linear_r2(x, y):
     return 1.0 - ss_res / ss_tot
 
 
-def _best_times(fns, repeats):
-    """Best wall time of each of ``fns`` over ``repeats`` rounds, where each
-    round times every function once, in order."""
-    best = [float("inf")] * len(fns)
-    for _ in range(repeats):
-        for i, fn in enumerate(fns):
-            t0 = time.perf_counter()
-            fn()
-            best[i] = min(best[i], time.perf_counter() - t0)
-    return best
-
-
 def test_criterion_9_speed_ordering():
     lengths = [4000, 8000, 12000, 16000, 20000]
     dpi_default, fl_default = [], []
-    dpi_runs, fl_runs = [], []
+    dpi_fixed, fl_fixed = [], []
     for n in lengths:
         spec = SimSpec(n=n, cnv_length=30, seed=n)
         track = generate(spec).track
@@ -355,28 +343,21 @@ def test_criterion_9_speed_ordering():
         tc = TuningConstants(lam1, lam2)
         model = dpi_mod.DpiModel(dpi_mod.DEFAULT_COPY_LOGR_MEANS, lam1, lam2)
 
-        [d, f] = _best_times(
-            [
-                lambda: dpi_mod.dpi_fit(track, model),
-                lambda: solve_mm_tdm(track.logr, tc),
-            ],
-            repeats=3,
-        )
-        dpi_default.append(d)
-        fl_default.append(f)
+        def best_of(fn, repeats=5):
+            times = []
+            for _ in range(repeats):
+                t0 = time.perf_counter()
+                fn()
+                times.append(time.perf_counter() - t0)
+            return min(times)
+
+        dpi_default.append(best_of(lambda: dpi_mod.dpi_fit(track, model), repeats=3))
+        fl_default.append(best_of(lambda: solve_mm_tdm(track.logr, tc), repeats=3))
         # fixed iteration budgets isolate the per-iteration O(n) cost
-        dpi_runs.append(lambda track=track, model=model: dpi_mod.dp_impute(track, model))
-        fl_runs.append(
-            lambda track=track, tc=tc: solve_mm_tdm(
-                track.logr, tc, tol=1e-300, max_iter=15
-            )
+        dpi_fixed.append(best_of(lambda: dpi_mod.dp_impute(track, model)))
+        fl_fixed.append(
+            best_of(lambda: solve_mm_tdm(track.logr, tc, tol=1e-300, max_iter=15))
         )
-    # The scaling fits take each length's best of 5, timed round-robin over
-    # the lengths: the host's speed drifts in spells longer than a round, and
-    # a spell that slows all lengths alike leaves R^2 as it is, where timing
-    # one length at a time bends the line at whichever length it hits.
-    dpi_fixed = _best_times(dpi_runs, repeats=5)
-    fl_fixed = _best_times(fl_runs, repeats=5)
     ordering = all(d < f for d, f in zip(dpi_default, fl_default))
     r2_dpi = _linear_r2(lengths, dpi_fixed)
     r2_fl = _linear_r2(lengths, fl_fixed)

@@ -20,7 +20,6 @@ from cnvfuse.dpi import (
     DpiModel,
     StatePath,
     StateSpace,
-    _median,
     _min_plus_path,
     dp_impute,
     dpi_fit,
@@ -540,21 +539,6 @@ class TestReestimateMu:
             model = random_model(rng)
             updated = reestimate_mu(track, StatePath(states, 0.0, copies), model)
             assert updated.mu[0] < updated.mu[1] < updated.mu[2] < updated.mu[3]
-
-    def test_median_bit_identical_to_numpy(self):
-        rng = np.random.default_rng(29)
-        for n in [5, 6, 7, 8, 41, 42, 20_000, *rng.integers(5, 20_001, size=30)]:
-            pool = np.concatenate([rng.normal(size=int(rng.integers(1, 8))).round(1), [0.0, -0.0]])
-            for values in (rng.choice(pool, size=n), rng.normal(size=n), np.zeros(n) * -1.0):
-                kept = values.copy()
-                got = np.float64(_median(values))
-                assert got.tobytes() == np.float64(np.median(values)).tobytes(), n
-                assert values.tobytes() == kept.tobytes()
-
-    def test_median_of_nan_is_nan(self):
-        values = np.random.default_rng(30).normal(size=9)
-        values[4] = np.nan
-        assert np.isnan(_median(values))
 
 
 class TestDpiFit:

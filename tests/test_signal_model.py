@@ -15,6 +15,7 @@ from cnvfuse.signal_model import (
     SnpTrack,
     TEN_STATES,
     TuningConstants,
+    _median,
     _percentiles,
     default_lambdas,
     estimate_sigma,
@@ -81,20 +82,49 @@ def tied_values(rng, n):
 class TestPartitionPercentiles:
     TRIM = [TRIM_LOWER_PCT, TRIM_UPPER_PCT]
 
-    def test_bit_identical_to_numpy(self):
+    def test_trimmed_window_and_sd_match_numpy(self):
+        # trimmed_std uses the percentiles only in a >=/<= window, where
+        # 0.0 and -0.0 compare equal, so the sign of a zero may differ
         rng = np.random.default_rng(41)
         lengths = [40, 41, 42, 79, 80, 81, 401, 20_000, *rng.integers(40, 20_001, size=30)]
+        # numpy's two-sided lerp differs from a one-sided one in about 1 of
+        # 400 short arrays
+        lengths += rng.integers(40, 3_000, size=1_000).tolist()
         for n in lengths:
             for values in (tied_values(rng, n), rng.normal(size=n), np.zeros(n) * -1.0):
                 kept = values.copy()
-                got = _percentiles(values, self.TRIM)
-                assert got.tobytes() == np.percentile(values, self.TRIM).tobytes(), n
+                lo, hi = _percentiles(values, self.TRIM)
+                ref_lo, ref_hi = np.percentile(values, self.TRIM)
+                assert values.tobytes() == kept.tobytes()
+                assert lo == ref_lo and hi == ref_hi, n
+                window = (values >= ref_lo) & (values <= ref_hi)
+                assert np.array_equal((values >= lo) & (values <= hi), window), n
+                ref_sd = values[window].std(ddof=1)
+                if ref_sd > 0:
+                    assert trimmed_std(values) == ref_sd, n
+
+    def test_nan_input_gives_nan(self):
+        rng = np.random.default_rng(42)
+        for n in (100, 1_000, 20_000):
+            values = rng.normal(size=n)
+            values[[3, n // 2]] = np.nan
+            assert np.isnan(_percentiles(values, self.TRIM)).all(), n
+
+
+class TestPartitionMedian:
+    def test_bit_identical_to_numpy(self):
+        rng = np.random.default_rng(29)
+        for n in [5, 6, 7, 8, 41, 42, 20_000, *rng.integers(5, 20_001, size=30)]:
+            for values in (tied_values(rng, n), rng.normal(size=n), np.zeros(n) * -1.0):
+                kept = values.copy()
+                got = np.float64(_median(values))
+                assert got.tobytes() == np.float64(np.median(values)).tobytes(), n
                 assert values.tobytes() == kept.tobytes()
 
     def test_nan_input_gives_nan(self):
-        values = np.random.default_rng(42).normal(size=100)
-        values[[3, 50]] = np.nan
-        assert np.isnan(_percentiles(values, self.TRIM)).all()
+        values = np.random.default_rng(30).normal(size=9)
+        values[4] = np.nan
+        assert np.isnan(_median(values))
 
 
 class TestDefaultLambdas:
