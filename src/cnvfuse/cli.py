@@ -74,8 +74,16 @@ def read_track_file(path) -> list[tuple[str, SnpTrack]]:
         lineno = 2
         while lines := fh.readlines(_BLOCK_SIZE):
             rows = [line for line in lines if line != "\n"] if "\n" in lines else lines
-            if rows and not _add_block(rows, row_dtype, col, groups):
-                _add_lines(path, lines, lineno, col, n_cols, groups)
+            if rows:
+                fields = _read_ascii(rows, row_dtype, col)
+                stop = None
+                if fields is None:
+                    fields, stop = _read_lines(rows, col, n_cols)
+                error = _add_block(*fields, groups) or stop
+                if error:
+                    row, reason = error
+                    line = lineno + [i for i, text in enumerate(lines) if text != "\n"][row]
+                    raise TrackFormatError(f"{path}:{line}: {reason}")
             lineno += len(lines)
 
     return [
@@ -93,40 +101,82 @@ def read_track_file(path) -> list[tuple[str, SnpTrack]]:
     ]
 
 
-def _add_block(rows, row_dtype, col, groups) -> bool:
-    """Parse a block of non-blank lines with numpy's C reader, check it and
-    append it to ``groups``. Returns False, leaving ``groups`` as it was,
-    when the reader must not take the block or any line breaks a rule of
-    ``read_track_file``; ``_add_lines`` then reads it line by line.
-
-    The reader checks each line's field count and parses the numbers;
-    every other rule is checked here and again, line by line, in
-    ``_add_lines``, so a new rule must go into both. The random-edit tests
-    in tests/test_cli.py compare the two against a line-by-line reference
-    parser."""
+def _read_ascii(rows, row_dtype, col):
+    """Read the fields (ids, chroms, pos, logr, baf) of a block of non-blank
+    lines with numpy's C reader, or return None when the reader must not
+    take the block or cannot read one of its lines."""
     # numpy's integer reader accepts digits next to non-ASCII characters
     # (it reads "5\u2213" as 8725), and both of its readers take
     # \x1c-\x1f for spaces, all of which int() and float() reject
     text = "".join(rows)
     if not text.isascii() or "\x1c" in text or "\x1d" in text or "\x1e" in text or "\x1f" in text:
-        return False
+        return None
     try:
         table = np.loadtxt(
             rows, delimiter="\t", comments=None, quotechar=None, dtype=row_dtype, ndmin=1
         )
     except ValueError:
-        return False
+        return None
     i_id, i_chrom, i_pos, i_logr, i_baf = (f"f{i}" for i in col)
     # copies, so the blocks kept do not hold the table's strings
-    pos = table[i_pos].copy()
-    logr = table[i_logr].copy()
-    baf = table[i_baf].copy()
-    if not (np.isfinite(logr).all() and np.isfinite(baf).all()) or pos.min() < 0:
-        return False
+    return (
+        table[i_id].tolist(),
+        table[i_chrom].tolist(),
+        table[i_pos].copy(),
+        table[i_logr].copy(),
+        table[i_baf].copy(),
+    )
 
-    # runs of rows with one chrom: [starts[k], ends[k])
-    chroms = table[i_chrom].tolist()
+
+def _read_lines(rows, col, n_cols):
+    """Read the fields of a block of non-blank lines with Python's ``int``
+    and ``float``, up to the first line they cannot read. Returns the
+    fields read, as ``_read_ascii`` does, and the (row, reason) of that
+    line, or None when every line was read. Any negative position is
+    stored as -1, so that one below -2**63 fits the int64 array too."""
+    i_id, i_chrom, i_pos, i_logr, i_baf = col
+    ids, chroms, pos, logr, baf = [], [], [], [], []
+    stop = None
+    for row, line in enumerate(rows):
+        parts = line.rstrip("\n").split("\t")
+        if len(parts) != n_cols:
+            stop = (row, f"expected {n_cols} fields")
+            break
+        try:
+            p = int(parts[i_pos])
+            lr = float(parts[i_logr])
+            b = float(parts[i_baf])
+        except ValueError as exc:
+            stop = (row, str(exc))
+            break
+        if p > _MAX_POSITION:
+            stop = (row, "position above 2**63 - 1")
+            break
+        ids.append(parts[i_id])
+        chroms.append(parts[i_chrom])
+        pos.append(max(p, -1))
+        logr.append(lr)
+        baf.append(b)
+    return (ids, chroms, np.array(pos, dtype=np.int64), np.array(logr), np.array(baf)), stop
+
+
+def _add_block(ids, chroms, pos, logr, baf, groups):
+    """Check a block's fields against the rules of ``read_track_file`` that
+    remain once its fields are read, and append the block to ``groups``,
+    which holds the earlier blocks.
+
+    Returns None, or the (row, reason) of the first row that breaks a rule,
+    leaving ``groups`` as it was. Within that row the first rule broken in
+    the order negative position, non-finite logr/baf, contiguous chromosome
+    rows, strictly increasing positions gives the reason. ``_read_ascii``
+    and ``_read_lines`` check the field count, the parsing of the numbers
+    and the position's upper bound, which come first in that order. The
+    random-edit tests in tests/test_cli.py compare the whole reader against
+    a line-by-line reference parser."""
     n = len(chroms)
+    if not n:
+        return None
+    # runs of rows with one chrom: [starts[k], ends[k])
     starts = [0]
     if chroms.count(chroms[0]) != n:
         starts += compress(range(1, n), map(operator.ne, chroms, chroms[1:]))
@@ -134,81 +184,37 @@ def _add_block(rows, row_dtype, col, groups) -> bool:
     run_chroms = [chroms[a] for a in starts]
     current = next(reversed(groups), None)
     continues = run_chroms[0] == current
-    new = run_chroms[1:] if continues else run_chroms
-    if len(set(new)) < len(new) or any(chrom in groups for chrom in new):
-        return False
-    if continues and pos[0] <= groups[current][1][-1][-1]:
-        return False
+
+    broken = []  # (row, the rule's place in the order above, reason)
+    if pos.min() < 0:
+        broken.append((int(np.argmax(pos < 0)), 0, "negative position"))
+    finite = np.isfinite(logr) & np.isfinite(baf)
+    if not finite.all():
+        broken.append((int(np.argmin(finite)), 1, "non-finite logr/baf"))
+    seen = set(groups)
+    for k, chrom in enumerate(run_chroms):
+        if chrom in seen and not (k == 0 and continues):
+            broken.append((starts[k], 2, f"chrom '{chrom}' rows are not contiguous"))
+            break
+        seen.add(chrom)
     rises = np.diff(pos) > 0
     rises[[a - 1 for a in starts[1:]]] = True  # a new chrom may start lower
-    if not rises.all():
-        return False
+    if continues and pos[0] <= groups[current][1][-1][-1]:
+        broken.append((0, 3, f"positions not strictly increasing in chrom '{current}'"))
+    elif not rises.all():
+        row = int(np.argmin(rises)) + 1
+        broken.append((row, 3, f"positions not strictly increasing in chrom '{chroms[row]}'"))
+    if broken:
+        row, _, reason = min(broken)
+        return row, reason
 
-    ids = table[i_id].tolist()
     for chrom, a, b in zip(run_chroms, starts, ends):
         g_ids, g_pos, g_logr, g_baf = groups.setdefault(chrom, ([], [], [], []))
         g_ids.extend(ids[a:b])
         g_pos.append(pos[a:b])
         g_logr.append(logr[a:b])
         g_baf.append(baf[a:b])
-    return True
-
-
-def _add_lines(path, lines, lineno, col, n_cols, groups):
-    """Parse a block line by line with Python's ``int`` and ``float`` and
-    append it to ``groups``, or raise the TrackFormatError of its first bad
-    line. ``lines`` is the block as read, blank lines included, from line
-    ``lineno``; ``groups`` holds the earlier blocks."""
-    i_id, i_chrom, i_pos, i_logr, i_baf = col
-    seen = set(groups)
-    current = next(reversed(groups), None)
-    last = int(groups[current][1][-1][-1]) if groups else None
-    runs = []  # (chrom, ids, positions, logr, baf) per run of one chrom
-    for lineno, line in enumerate(lines, start=lineno):
-        line = line.rstrip("\n")
-        if not line:
-            continue
-        parts = line.split("\t")
-        if len(parts) != n_cols:
-            raise TrackFormatError(f"{path}:{lineno}: expected {n_cols} fields")
-        chrom = parts[i_chrom]
-        try:
-            pos = int(parts[i_pos])
-            logr = float(parts[i_logr])
-            baf = float(parts[i_baf])
-        except ValueError as exc:
-            raise TrackFormatError(f"{path}:{lineno}: {exc}") from exc
-        if pos < 0:
-            raise TrackFormatError(f"{path}:{lineno}: negative position")
-        if pos > _MAX_POSITION:
-            raise TrackFormatError(f"{path}:{lineno}: position above 2**63 - 1")
-        if not (math.isfinite(logr) and math.isfinite(baf)):
-            raise TrackFormatError(f"{path}:{lineno}: non-finite logr/baf")
-        if chrom != current:
-            if chrom in seen:
-                raise TrackFormatError(
-                    f"{path}:{lineno}: chrom '{chrom}' rows are not contiguous"
-                )
-            seen.add(chrom)
-            current, last = chrom, None
-        if last is not None and pos <= last:
-            raise TrackFormatError(
-                f"{path}:{lineno}: positions not strictly increasing in chrom '{chrom}'"
-            )
-        last = pos
-        if not runs or runs[-1][0] != chrom:
-            runs.append((chrom, [], [], [], []))
-        _, r_ids, r_pos, r_logr, r_baf = runs[-1]
-        r_ids.append(parts[i_id])
-        r_pos.append(pos)
-        r_logr.append(logr)
-        r_baf.append(baf)
-    for chrom, ids, pos, logr, baf in runs:
-        g_ids, g_pos, g_logr, g_baf = groups.setdefault(chrom, ([], [], [], []))
-        g_ids.extend(ids)
-        g_pos.append(np.array(pos, dtype=np.int64))
-        g_logr.append(np.array(logr, dtype=np.float64))
-        g_baf.append(np.array(baf, dtype=np.float64))
+    return None
 
 
 def _parse_split_at(value: str) -> dict[str, list[int]]:
@@ -283,19 +289,13 @@ def _fits(args, route, **params):
         yield chrom, track, result
 
 
-def _open_output(path):
-    if path is None or path == "-":
-        return sys.stdout, False
-    return open(path, "w", encoding="utf-8"), True
-
-
 def _write_lines(path, lines):
-    out, close = _open_output(path)
-    try:
-        out.write("\n".join(lines) + "\n")
-    finally:
-        if close:
-            out.close()
+    text = "\n".join(lines) + "\n"
+    if path is None or path == "-":
+        sys.stdout.write(text)
+    else:
+        with open(path, "w", encoding="utf-8") as out:
+            out.write(text)
 
 
 def _mu_init(text: str) -> tuple[float, float, float, float]:
@@ -434,13 +434,7 @@ def cmd_bench(args) -> int:
         tol=args.tol,
         max_iter=args.max_iter,
     )
-    report = sim.format_report(rows)
-    out, close = _open_output(args.output)
-    try:
-        out.write(report)
-    finally:
-        if close:
-            out.close()
+    _write_lines(args.output, sim.format_report(rows).splitlines())
     return 0
 
 
@@ -472,7 +466,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_common_solver_flags(p_dpi)
     p_dpi.add_argument("--alpha", type=float, default=dpi_mod.DEFAULT_ALPHA)
     p_dpi.add_argument("--mu-init", type=_mu_init, default=dpi_mod.DEFAULT_COPY_LOGR_MEANS, metavar="M0,M1,M2,M3")
-    p_dpi.add_argument("--state-space", choices=("10", "4"), default="10", help="accepted for compatibility; both values give the same result")
     p_dpi.add_argument("--max-rounds", type=int, default=dpi_mod.DEFAULT_MAX_ROUNDS)
     p_dpi.add_argument("--segments-out", default=None, help="also write constant-copy segments here")
     p_dpi.set_defaults(func=cmd_segment_dpi)

@@ -16,7 +16,6 @@ not an approximation.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -45,27 +44,18 @@ _STATE_BY_CODE = np.array(
 )
 
 
-class StateSpace(enum.Enum):
-    """Accepted for compatibility; both values give the same result."""
-
-    TEN = "10"
-    FOUR = "4"
-
-
 @dataclass(frozen=True)
 class DpiModel:
     """Imputation model: per-copy LogR means plus tuning constants.
 
     The means must be strictly increasing in copy number; re-estimation
-    preserves this by rejecting violating updates. ``state_space`` does
-    not change the result (see ``StateSpace``).
+    preserves this by rejecting violating updates.
     """
 
     mu: tuple[float, float, float, float]
     lambda1: float
     lambda2: float
     alpha: float = DEFAULT_ALPHA
-    state_space: StateSpace = StateSpace.TEN
 
     def __post_init__(self):
         mu = tuple(float(m) for m in self.mu)

@@ -122,6 +122,20 @@ def fdr_cutoff(segments: list[SegmentCall], fdr_level: float) -> float | None:
     return q_star
 
 
+def _segment(beta, start: int, end: int, sigma_hat: float, call: Call) -> SegmentCall:
+    """The SegmentCall of SNPs start..end (inclusive) with its statistics."""
+    z = segment_z(beta, (start, end), sigma_hat)
+    return SegmentCall(
+        start_index=start,
+        end_index=end,
+        n_snps=end - start + 1,
+        mean_beta=float(np.mean(beta[start : end + 1])),
+        z=z,
+        p_value=normal_p_value(z),
+        call=call,
+    )
+
+
 def call_cnvs(
     beta,
     sigma_hat: float,
@@ -144,20 +158,10 @@ def call_cnvs(
     if merge_tol is None:
         merge_tol = DEFAULT_MERGE_TOL_FACTOR * sigma_hat
     beta = np.asarray(beta, dtype=np.float64)
-    segments = []
-    for start, end in extract_segments(beta, merge_tol):
-        z = segment_z(beta, (start, end), sigma_hat)
-        segments.append(
-            SegmentCall(
-                start_index=start,
-                end_index=end,
-                n_snps=end - start + 1,
-                mean_beta=float(np.mean(beta[start : end + 1])),
-                z=z,
-                p_value=normal_p_value(z),
-                call=Call.NEUTRAL,
-            )
-        )
+    segments = [
+        _segment(beta, start, end, sigma_hat, Call.NEUTRAL)
+        for start, end in extract_segments(beta, merge_tol)
+    ]
 
     q_star = fdr_cutoff(segments, fdr_level)
     if q_star is None:
@@ -184,17 +188,6 @@ def merge_adjacent_calls(beta, segments: list[SegmentCall], sigma_hat: float) ->
     merged: list[SegmentCall] = []
     for seg in segments:
         if merged and merged[-1].call is seg.call:
-            prev = merged.pop()
-            span = (prev.start_index, seg.end_index)
-            z = segment_z(beta, span, sigma_hat)
-            seg = SegmentCall(
-                start_index=prev.start_index,
-                end_index=seg.end_index,
-                n_snps=seg.end_index - prev.start_index + 1,
-                mean_beta=float(np.mean(beta[prev.start_index : seg.end_index + 1])),
-                z=z,
-                p_value=normal_p_value(z),
-                call=seg.call,
-            )
+            seg = _segment(beta, merged.pop().start_index, seg.end_index, sigma_hat, seg.call)
         merged.append(seg)
     return merged

@@ -158,23 +158,10 @@ TEN_STATES: tuple[CopyState, ...] = (
 
 STATE_BY_NAME = {s.genotype: s for s in TEN_STATES}
 
-#: states grouped by copy number, preserving table order
+#: states grouped by copy number, in table order: STATES_BY_COPY[c][k] is the
+#: genotype of copy number c with k B alleles
 STATES_BY_COPY: dict[int, tuple[CopyState, ...]] = {
     c: tuple(s for s in TEN_STATES if s.copy_number == c) for c in range(4)
-}
-
-#: genotype for (copy_number, B-allele count)
-STATE_BY_COPY_NB: dict[tuple[int, int], CopyState] = {
-    (0, 0): STATE_BY_NAME["phi"],
-    (1, 0): STATE_BY_NAME["A"],
-    (1, 1): STATE_BY_NAME["B"],
-    (2, 0): STATE_BY_NAME["AA"],
-    (2, 1): STATE_BY_NAME["AB"],
-    (2, 2): STATE_BY_NAME["BB"],
-    (3, 0): STATE_BY_NAME["AAA"],
-    (3, 1): STATE_BY_NAME["AAB"],
-    (3, 2): STATE_BY_NAME["ABB"],
-    (3, 3): STATE_BY_NAME["BBB"],
 }
 
 

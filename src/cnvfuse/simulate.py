@@ -22,7 +22,7 @@ from . import dpi as dpi_mod
 from . import fused_lasso as fl
 from . import pipeline
 from . import segment_caller as sc
-from .signal_model import DEFAULT_EPSILON, STATE_BY_COPY_NB, CopyState, SnpTrack
+from .signal_model import DEFAULT_EPSILON, STATES_BY_COPY, CopyState, SnpTrack
 
 
 class CnvType(enum.Enum):
@@ -103,7 +103,7 @@ def generate(spec: SimSpec) -> TruthTrack:
         copy[start : start + spec.cnv_length] = spec.cnv_type.copy_number
 
     n_b = rng.binomial(copy, spec.maf)
-    genotype = tuple(STATE_BY_COPY_NB[(c, k)] for c, k in zip(copy.tolist(), n_b.tolist()))
+    genotype = tuple(STATES_BY_COPY[c][k] for c, k in zip(copy.tolist(), n_b.tolist()))
 
     mu = np.asarray(spec.mu_truth)
     logr = rng.normal(mu[copy], spec.sigma_logr)

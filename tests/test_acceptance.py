@@ -244,7 +244,6 @@ def test_criterion_6_dp_exact_optimality():
             lambda1=float(rng.uniform(0.0, 1.0)),
             lambda2=float(rng.uniform(0.0, 2.0)),
             alpha=float(rng.uniform(0.0, 15.0)),
-            state_space=dpi_mod.StateSpace.TEN if ten else dpi_mod.StateSpace.FOUR,
         )
         path = dpi_mod.dp_impute(track, model)
         ref = _enumeration_oracle(track, model, 10 if ten else 4)

@@ -222,6 +222,15 @@ MALFORMED = {
     "file_separator_in_pos": rows("1", 100, 3) + "r\t1\t\x1c900\t0.1\t0.5\n",
     "unit_separator_in_logr": rows("1", 100, 3) + "r\t1\t900\t0.1\x1f\t0.5\n",
     "symbol_after_pos": rows("1", 100, 3) + "r\t1\t5\u2213\t0.1\t0.5\n",
+    # a non-ASCII id sends the block to the line-by-line reader, whose
+    # fields go through the same rule check as the C reader's
+    "nonascii_then_decreasing": rows("1", 100, 3) + "\u00e9\t1\t900\t0.1\t0.5\n" + "s\t1\t800\t0.1\t0.5\n",
+    "nonascii_rule_before_parse_error": rows("1", 100, 3) + "r\t1\t900\tnan\t0.5\n" + "\u00e9\t1\t1000\tx\t0.5\n",
+    "nonascii_interleaved": rows("1", 100, 3) + "\u00e9\t2\t100\t0.1\t0.5\n" + rows("1", 900, 2),
+    "nonascii_nonfinite_before_count": rows("1", 100, 3) + "\u00e9\t1\t900\tinf\t0.5\n" + "s\t1\n",
+    # below -2**63: a negative position, not an int64 overflow
+    "huge_negative_pos": rows("1", 100, 3) + "r\t1\t-99999999999999999999999\t0.1\t0.5\n",
+    "huge_negative_pos_nonascii": rows("1", 100, 3) + "\u00e9\t1\t-99999999999999999999999\t0.1\t0.5\n",
 }
 
 BLOCK_SIZES = (1, 70, 1 << 20)
@@ -509,15 +518,6 @@ class TestSegmentDpi:
         dup = [r for r in rows if r[4] == "3"]
         assert len(dup) == 20
         assert {r[3] for r in dup} <= {"AAA", "AAB", "ABB", "BBB"}
-
-    def test_state_space_4_same_copy_numbers(self, tmp_path):
-        path = simulate_track(tmp_path, n=400, cnv_length=30, cnv_type="dup", seed=17)
-        o10, o4 = tmp_path / "s10.tsv", tmp_path / "s4.tsv"
-        assert run_cli(["segment-dpi", path, "--state-space", "10", "--output", o10]) == 0
-        assert run_cli(["segment-dpi", path, "--state-space", "4", "--output", o4]) == 0
-        copies10 = [r.split("\t")[4] for r in o10.read_text().splitlines()[1:]]
-        copies4 = [r.split("\t")[4] for r in o4.read_text().splitlines()[1:]]
-        assert copies10 == copies4
 
     def test_segments_output(self, tmp_path):
         path = simulate_track(tmp_path, n=500, cnv_length=40, cnv_type="del1", seed=18)

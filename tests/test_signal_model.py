@@ -10,7 +10,6 @@ from cnvfuse.errors import DegenerateSignal, TooFewSnps
 from cnvfuse.signal_model import (
     TRIM_LOWER_PCT,
     TRIM_UPPER_PCT,
-    STATE_BY_COPY_NB,
     STATES_BY_COPY,
     SnpTrack,
     TEN_STATES,
@@ -240,7 +239,8 @@ class TestStateTable:
 
     def test_class_grouping_and_nb_lookup(self):
         assert [len(STATES_BY_COPY[c]) for c in range(4)] == [1, 2, 3, 4]
-        for (c, k), state in STATE_BY_COPY_NB.items():
-            assert state.copy_number == c
-            if c > 0:
-                assert state.baf_center == pytest.approx(k / c)
+        for c in range(4):
+            for k, state in enumerate(STATES_BY_COPY[c]):
+                assert state.copy_number == c
+                if c > 0:
+                    assert state.baf_center == k / c
