@@ -94,7 +94,6 @@ def read_track_file(path) -> list[tuple[str, SnpTrack]]:
                 positions=np.concatenate(pos),
                 logr=np.concatenate(logr),
                 baf=np.concatenate(baf),
-                clamp_baf=True,
             ),
         )
         for chrom, (ids, pos, logr, baf) in groups.items()
@@ -415,8 +414,6 @@ def cmd_simulate(args) -> int:
 
 def cmd_bench(args) -> int:
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
-    if args.include_mmb and "mmb" not in methods:
-        methods.append("mmb")
     lengths = [int(v) for v in args.lengths.split(",") if v.strip()]
     sizes = [int(v) for v in args.cnv_sizes.split(",") if v.strip()]
     specs = []
@@ -486,8 +483,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.set_defaults(func=cmd_simulate)
 
     p_bench = sub.add_parser("bench", help="simulate a corpus and benchmark the methods")
-    p_bench.add_argument("--methods", default="fused_lasso,dpi")
-    p_bench.add_argument("--include-mmb", action="store_true", help="add the block-relaxation baseline")
+    p_bench.add_argument("--methods", default="fused_lasso,dpi", help="comma-separated: fused_lasso, dpi, mmb (block-relaxation baseline)")
     p_bench.add_argument("--lengths", default="13000", help="comma-separated sequence lengths")
     p_bench.add_argument("--cnv-sizes", default="5,10,20,30,40,50")
     p_bench.add_argument("--per-cell", type=int, default=12, help="tracks per sequence length")

@@ -16,6 +16,7 @@ not an approximation.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -62,6 +63,8 @@ class DpiModel:
         object.__setattr__(self, "mu", mu)
         if len(mu) != 4:
             raise ValueError("mu must hold exactly four means (copy 0..3)")
+        if not all(map(math.isfinite, (*mu, self.lambda1, self.lambda2, self.alpha))):
+            raise ValueError("mu, lambda1, lambda2 and alpha must be finite")
         if not (mu[0] < mu[1] < mu[2] < mu[3]):
             raise ValueError("means must be strictly increasing in copy number")
         if self.lambda1 < 0 or self.lambda2 < 0 or self.alpha < 0:
@@ -90,59 +93,6 @@ class DpiFit:
     path: StatePath
     model: DpiModel
     rounds: int
-
-
-def loss_logr(y: float, state: CopyState, model: DpiModel) -> float:
-    """Squared LogR distance to the state's copy-number mean."""
-    d = y - model.mu[state.copy_number]
-    return d * d
-
-
-def loss_baf_10(x: float, state: CopyState) -> float:
-    """Squared BAF distance to the genotype center; for the null state,
-    the expected squared distance to a Uniform(0, 1) draw."""
-    if state.baf_center is None:
-        return (x**3 + (1.0 - x) ** 3) / 3.0
-    d = x - state.baf_center
-    return d * d
-
-
-def loss_baf_4(x: float, copy_number: int) -> float:
-    """Collapsed BAF loss: minimum over the genotypes of one copy class."""
-    if copy_number == 0:
-        return (x**3 + (1.0 - x) ** 3) / 3.0
-    if copy_number == 1:
-        return min(x * x, (x - 1.0) ** 2)
-    if copy_number == 2:
-        return min(x * x, (x - 0.5) ** 2, (x - 1.0) ** 2)
-    if copy_number == 3:
-        return min(x * x, (x - 1.0 / 3.0) ** 2, (x - 2.0 / 3.0) ** 2, (x - 1.0) ** 2)
-    raise ValueError(f"copy_number must be in 0..3, got {copy_number}")
-
-
-def path_objective(track: SnpTrack, states, model: DpiModel) -> float:
-    """Re-evaluate the discrete objective for a given state sequence.
-
-    Uses the per-genotype BAF loss, accumulating in the same order as the
-    recursion. On a path from ``dp_impute`` each state is the best
-    genotype of its copy class, so this equals the collapsed per-class
-    loss (``loss_baf_4``) the recursion minimizes.
-    """
-    y = track.logr
-    x = track.baf
-    mu = model.mu
-    lam1, lam2, alpha = model.lambda1, model.lambda2, model.alpha
-
-    def stage(i: int, state: CopyState) -> float:
-        l2 = loss_baf_10(float(x[i]), state)
-        return (loss_logr(float(y[i]), state, model) + alpha * l2) + lam1 * abs(mu[state.copy_number])
-
-    states = list(states)
-    acc = stage(0, states[0])
-    for i in range(1, len(states)):
-        pen = lam2 * abs(mu[states[i].copy_number] - mu[states[i - 1].copy_number])
-        acc = (acc + pen) + stage(i, states[i])
-    return acc
 
 
 def _stage_columns(track: SnpTrack, model: DpiModel) -> list[np.ndarray]:
@@ -419,9 +369,9 @@ def dpi_fit(
         if new_path.objective > path.objective + 1e-9 * max(1.0, abs(path.objective)):
             rounds -= 1
             break
-        stable = np.array_equal(new_path.copy_numbers, path.copy_numbers) and (
-            new_path.states == path.states
-        )
+        # genotypes follow from copy numbers and BAF, so equal copy numbers
+        # mean equal states
+        stable = np.array_equal(new_path.copy_numbers, path.copy_numbers)
         path, model = new_path, new_model
         if stable:
             break

@@ -23,7 +23,7 @@ from itertools import chain
 import numpy as np
 
 from .errors import NonFiniteInput, ZeroPivot
-from .signal_model import DEFAULT_EPSILON, TuningConstants
+from .signal_model import TuningConstants
 
 DEFAULT_TOL = 1e-4
 DEFAULT_MAX_ITER = 10000
@@ -53,39 +53,25 @@ def objective(beta, y, tc: TuningConstants) -> float:
     return value
 
 
-def gradient(beta, y, tc: TuningConstants) -> np.ndarray:
-    """Gradient of the smoothed criterion (exists for every eps > 0)."""
-    beta = np.asarray(beta, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    g = beta - y + tc.lambda1 * beta / smooth_abs(beta, tc.epsilon)
-    if beta.size > 1:
-        d = np.diff(beta)
-        t = tc.lambda2 * d / smooth_abs(d, tc.epsilon)
-        g[1:] += t
-        g[:-1] -= t
-    return g
-
-
 @dataclass(frozen=True)
 class TridiagonalSystem:
     """Symmetric tridiagonal system A x = rhs.
 
-    diag holds a[i,i]; upper holds a[i,i+1]; lower holds a[i+1,i]. The MM
-    surrogate always produces lower == upper and, for lambda1 > 0, strict
-    diagonal dominance (hence positive definiteness).
+    diag holds a[i,i] and off holds a[i,i+1] = a[i+1,i]. For lambda1 > 0
+    the MM surrogate is strictly diagonally dominant (hence positive
+    definite).
     """
 
     diag: np.ndarray
-    upper: np.ndarray
-    lower: np.ndarray
+    off: np.ndarray
     rhs: np.ndarray
 
     def __post_init__(self):
         n = self.diag.size
         if n < 1 or self.rhs.size != n:
             raise ValueError("diag and rhs must have equal length >= 1")
-        if self.upper.size != n - 1 or self.lower.size != n - 1:
-            raise ValueError("off-diagonals must have length n - 1")
+        if self.off.size != n - 1:
+            raise ValueError("off-diagonal must have length n - 1")
 
 
 @dataclass(frozen=True)
@@ -123,8 +109,7 @@ def build_surrogate(beta_m, y, tc: TuningConstants) -> TridiagonalSystem:
     diag = 1.0 + w1
     diag[:-1] += w2
     diag[1:] += w2
-    off = -w2
-    return TridiagonalSystem(diag=diag, upper=off, lower=off.copy(), rhs=y.copy())
+    return TridiagonalSystem(diag=diag, off=-w2, rhs=y.copy())
 
 
 def thomas_solve(system: TridiagonalSystem) -> np.ndarray:
@@ -135,16 +120,17 @@ def thomas_solve(system: TridiagonalSystem) -> np.ndarray:
     """
     # Both sweeps zip, because indexing lists row by row costs more than
     # the arithmetic. Memoryviews hand the inputs out one float at a time;
-    # with tolist() copies of all four arrays the solve took ~25% longer on
+    # with tolist() copies of the arrays the solve took ~25% longer on
     # a 2-vCPU VM. Row 0 takes the general step with a zero sub-diagonal
     # entry and zero carried terms; subtracting 0.0 * 0.0 is exact, so its
     # pivot is b_0 and its terms are c_0 / b_0 and d_0 / b_0. Keep every
     # operation and its order: the result must stay bit-identical to the
     # indexed loop in the tests.
+    off = memoryview(system.off)
     rows = zip(
         memoryview(system.diag),
-        chain((0.0,), memoryview(system.lower)),
-        chain(memoryview(system.upper), (0.0,)),
+        chain((0.0,), off),
+        chain(off, (0.0,)),
         memoryview(system.rhs),
     )
     lo, hi = -_PIVOT_FLOOR, _PIVOT_FLOOR
@@ -253,8 +239,8 @@ def _block_sweep(system: TridiagonalSystem, beta: np.ndarray) -> np.ndarray:
     """The step of ``solve_mm_block``; updates ``beta`` in place."""
     # sub[i] = a[i, i-1], sup[i] = a[i, i+1], and the neighbours
     # left[i] = beta[i-1], right[i] = beta[i+1], with zero padding at ends
-    sub = np.concatenate(([0.0], system.lower))
-    sup = np.concatenate((system.upper, [0.0]))
+    sub = np.concatenate(([0.0], system.off))
+    sup = np.concatenate((system.off, [0.0]))
     for idx in (slice(1, None, 2), slice(0, None, 2)):
         left = np.concatenate(([0.0], beta[:-1]))
         right = np.concatenate((beta[1:], [0.0]))
@@ -278,28 +264,3 @@ def solve_mm_block(
     """
     return _solve_mm(y, tc, tol, max_iter, _block_sweep)
 
-
-def soft_threshold_check(
-    y,
-    lambda1: float,
-    lambda2: float,
-    epsilon: float = DEFAULT_EPSILON,
-    tol: float = 1e-8,
-    max_iter: int = 200000,
-) -> float:
-    """Max deviation from the soft-thresholding identity linking lambda1 > 0
-    solutions to the lambda1 = 0 solution.
-
-    Solves at (0, lambda2) and (lambda1, lambda2), applies
-    sign(b0)*( |b0| - lambda1 )_+ elementwise to the first solution, and
-    returns the largest absolute difference from the second. For the
-    unsmoothed criterion the identity is exact; smoothing and solver
-    tolerance contribute a small bias.
-    """
-    if not (lambda1 > 0 and lambda2 > 0):
-        raise ValueError("lambda1 and lambda2 must be positive")
-    fit0 = solve_mm_tdm(y, TuningConstants(0.0, lambda2, epsilon=epsilon), tol, max_iter)
-    fit1 = solve_mm_tdm(y, TuningConstants(lambda1, lambda2, epsilon=epsilon), tol, max_iter)
-    b0 = fit0.beta
-    thresholded = np.sign(b0) * np.maximum(np.abs(b0) - lambda1, 0.0)
-    return float(np.max(np.abs(thresholded - fit1.beta)))

@@ -141,26 +141,24 @@ def call_cnvs(
     sigma_hat: float,
     fdr_level: float = DEFAULT_FDR_LEVEL,
     min_snps: int = DEFAULT_MIN_SNPS,
-    merge_tol: float | None = None,
 ) -> list[SegmentCall]:
     """Segment the estimate and call deletions/duplications under FDR control.
 
-    The cutoff q is ``fdr_cutoff``: the largest observed p-value with
-    estimated FDR <= fdr_level, or 0 when only p-values that underflowed
-    to 0 pass. Segments passing the cutoff are called by the sign of
-    their statistic; calls spanning fewer than ``min_snps`` SNPs revert
-    to neutral. The
-    returned list always covers the whole track, neutral segments
-    included.
+    Segments are the runs of ``extract_segments`` with a merge tolerance
+    of ``DEFAULT_MERGE_TOL_FACTOR * sigma_hat``. The cutoff q is
+    ``fdr_cutoff``: the largest observed p-value with estimated FDR <=
+    fdr_level, or 0 when only p-values that underflowed to 0 pass.
+    Segments passing the cutoff are called by the sign of their
+    statistic; calls spanning fewer than ``min_snps`` SNPs revert to
+    neutral. The returned list always covers the whole track, neutral
+    segments included.
     """
     if not 0.0 < fdr_level < 1.0:
         raise ValueError("fdr_level must lie in (0, 1)")
-    if merge_tol is None:
-        merge_tol = DEFAULT_MERGE_TOL_FACTOR * sigma_hat
     beta = np.asarray(beta, dtype=np.float64)
     segments = [
         _segment(beta, start, end, sigma_hat, Call.NEUTRAL)
-        for start, end in extract_segments(beta, merge_tol)
+        for start, end in extract_segments(beta, DEFAULT_MERGE_TOL_FACTOR * sigma_hat)
     ]
 
     q_star = fdr_cutoff(segments, fdr_level)

@@ -84,7 +84,7 @@ class SnpTrack:
         return len(self.snp_ids)
 
     @classmethod
-    def from_values(cls, logr, baf, positions=None, snp_ids=None, clamp_baf=True):
+    def from_values(cls, logr, baf, positions=None, snp_ids=None):
         """Build a track, clamping out-of-range BAF values on ingest.
 
         Array noise occasionally overshoots [0, 1]; rejecting such tracks
@@ -98,11 +98,10 @@ class SnpTrack:
             positions = np.arange(1, n + 1, dtype=np.int64) * 5000
         if snp_ids is None:
             snp_ids = tuple(f"snp{i + 1:07d}" for i in range(n))
-        if clamp_baf and baf.size:
-            n_clamped = int(np.count_nonzero((baf < 0.0) | (baf > 1.0)))
-            if n_clamped:
-                logger.warning("clamped %d BAF values outside [0, 1]", n_clamped)
-                baf = np.clip(baf, 0.0, 1.0)
+        n_clamped = int(np.count_nonzero((baf < 0.0) | (baf > 1.0)))
+        if n_clamped:
+            logger.warning("clamped %d BAF values outside [0, 1]", n_clamped)
+            baf = np.clip(baf, 0.0, 1.0)
         return cls(snp_ids=snp_ids, positions=positions, logr=logr, baf=baf)
 
 
@@ -121,6 +120,8 @@ class TuningConstants:
     epsilon: float = DEFAULT_EPSILON
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.lambda1, self.lambda2, self.epsilon))):
+            raise ValueError("lambda1, lambda2 and epsilon must be finite")
         if self.lambda1 < 0 or self.lambda2 < 0:
             raise ValueError("lambda1 and lambda2 must be non-negative")
         if not self.epsilon > 0:
@@ -155,8 +156,6 @@ TEN_STATES: tuple[CopyState, ...] = (
     CopyState("ABB", 3, 2.0 / 3.0),
     CopyState("BBB", 3, 1.0),
 )
-
-STATE_BY_NAME = {s.genotype: s for s in TEN_STATES}
 
 #: states grouped by copy number, in table order: STATES_BY_COPY[c][k] is the
 #: genotype of copy number c with k B alleles

@@ -114,7 +114,7 @@ def generate(spec: SimSpec) -> TruthTrack:
     baf = np.where(copy == 0, uniform, baf)
     baf = np.clip(baf, 0.0, 1.0)
 
-    track = SnpTrack.from_values(logr=logr, baf=baf, clamp_baf=False)
+    track = SnpTrack.from_values(logr=logr, baf=baf)
     return TruthTrack(track=track, true_copy=copy, true_genotype=genotype)
 
 
@@ -155,7 +155,6 @@ def dataset1_specs(
     n: int = 13000,
     cnv_sizes: Sequence[int] = (5, 10, 20, 30, 40, 50),
     seed: int = 0,
-    **overrides,
 ) -> list[SimSpec]:
     """Corpus of fixed-length tracks with a centered CNV.
 
@@ -163,7 +162,7 @@ def dataset1_specs(
     so both are equally represented; per-track seeds derive from ``seed``
     deterministically.
     """
-    return dataset2_specs(count, (n,), cnv_sizes, seed, **overrides)
+    return dataset2_specs(count, (n,), cnv_sizes, seed)
 
 
 def dataset2_specs(
@@ -171,7 +170,6 @@ def dataset2_specs(
     lengths: Sequence[int] = (4000, 8000, 12000, 16000, 20000),
     cnv_sizes: Sequence[int] = (5, 10, 20, 30, 40, 50),
     seed: int = 1,
-    **overrides,
 ) -> list[SimSpec]:
     """Corpus of variable-length tracks with a centered CNV."""
     child_seeds = np.random.SeedSequence(seed).generate_state(max(count, 1), np.uint64)
@@ -183,7 +181,6 @@ def dataset2_specs(
                 cnv_length=cnv_sizes[(i // 2) % len(cnv_sizes)],
                 cnv_type=CnvType.DELETION1 if i % 2 == 0 else CnvType.DUPLICATION,
                 seed=int(child_seeds[i]),
-                **overrides,
             )
         )
     return specs
@@ -236,7 +233,6 @@ def run_benchmark(
     mu_init: tuple = dpi_mod.DEFAULT_COPY_LOGR_MEANS,
     tol: float = fl.DEFAULT_TOL,
     max_iter: int = fl.DEFAULT_MAX_ITER,
-    max_rounds: int = dpi_mod.DEFAULT_MAX_ROUNDS,
 ) -> list[BenchRow]:
     """Run each requested method over the corpus and aggregate per cell.
 
@@ -257,7 +253,10 @@ def run_benchmark(
             t0 = time.perf_counter()
             if method == "dpi":
                 fit = pipeline.fit_dpi(
-                    truth.track, alpha=alpha, mu_init=mu_init, max_rounds=max_rounds
+                    truth.track,
+                    alpha=alpha,
+                    mu_init=mu_init,
+                    max_rounds=dpi_mod.DEFAULT_MAX_ROUNDS,
                 )
                 called, iters = fit.path.copy_numbers, max(fit.rounds, 1)
             else:

@@ -18,10 +18,8 @@ from cnvfuse.fused_lasso import (
     DEFAULT_MAX_ITER,
     DEFAULT_TOL,
     TridiagonalSystem,
-    gradient,
     solve_mm_block,
     solve_mm_tdm,
-    soft_threshold_check,
     thomas_solve,
 )
 from cnvfuse.pipeline import called_copies, fit_dpi, fit_fused_lasso
@@ -40,6 +38,8 @@ from cnvfuse.simulate import (
     dataset1_specs,
     generate,
 )
+
+from oracles import gradient, path_objective, soft_threshold_check
 
 CORPUS_SEED = 2024
 
@@ -120,7 +120,7 @@ def test_criterion_2_thomas_vs_dense_oracle():
         diag[:-1] += np.abs(off)
         diag[1:] += np.abs(off)
         rhs = rng.normal(size=n)
-        system = TridiagonalSystem(diag=diag, upper=off, lower=off.copy(), rhs=rhs)
+        system = TridiagonalSystem(diag=diag, off=off, rhs=rhs)
         dense = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
         ref = la.solve(dense, rhs)
         err = la.norm(thomas_solve(system) - ref) / max(la.norm(ref), 1e-30)
@@ -249,7 +249,7 @@ def test_criterion_6_dp_exact_optimality():
         ref = _enumeration_oracle(track, model, 10 if ten else 4)
         if path.objective != ref:
             mismatches += 1
-        reval = dpi_mod.path_objective(track, path.states, model)
+        reval = path_objective(track, path.states, model)
         if abs(reval - ref) > 1e-12 * max(1.0, abs(ref)):
             path_errors += 1
     ok = mismatches == 0 and path_errors == 0

@@ -151,7 +151,6 @@ def reference_read_track_file(path):
             positions=np.array([r[1] for r in rows], dtype=np.int64),
             logr=np.array([r[2] for r in rows]),
             baf=np.array([r[3] for r in rows]),
-            clamp_baf=True,
         )
         tracks.append((chrom, track))
     return tracks
@@ -507,6 +506,37 @@ def test_failing_sequence_is_named(tmp_path, capsys, route):
     assert not out.exists()
 
 
+_FL_NOT_FINITE = "lambda1, lambda2 and epsilon must be finite"
+_DPI_NOT_FINITE = "mu, lambda1, lambda2 and alpha must be finite"
+
+
+@pytest.mark.parametrize(
+    "route, flag, message",
+    [
+        *(
+            (route, [name, value], message)
+            for route, message in (("segment-fl", _FL_NOT_FINITE), ("segment-dpi", _DPI_NOT_FINITE))
+            for name in ("--lambda1", "--lambda2")
+            for value in ("nan", "inf")
+        ),
+        ("segment-fl", ["--epsilon", "nan"], _FL_NOT_FINITE),
+        ("segment-fl", ["--epsilon", "inf"], _FL_NOT_FINITE),
+        ("segment-dpi", ["--alpha", "nan"], _DPI_NOT_FINITE),
+        ("segment-dpi", ["--alpha", "inf"], _DPI_NOT_FINITE),
+        ("segment-dpi", ["--mu-init=-inf,-0.6313,-0.0045,0.3252"], _DPI_NOT_FINITE),
+        ("segment-dpi", ["--mu-init=-5.5923,-0.6313,-0.0045,nan"], _DPI_NOT_FINITE),
+    ],
+)
+def test_non_finite_parameters_rejected(tmp_path, capsys, route, flag, message):
+    track = simulate_track(tmp_path, n=300, cnv_length=20, seed=24)
+    out = tmp_path / "out.tsv"
+    assert run_cli([route, track, *flag, "--output", out]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"cnvfuse: error: {message}\n"
+    assert captured.out == ""
+    assert not out.exists()
+
+
 class TestSegmentDpi:
     def test_noiseless_duplication_states(self, tmp_path, capsys):
         path = simulate_track(
@@ -572,7 +602,7 @@ class TestBench:
         out = tmp_path / "report.tsv"
         assert run_cli([
             "bench", "--lengths", "400", "--cnv-sizes", "30", "--per-cell", "2",
-            "--methods", "dpi", "--include-mmb", "--max-iter", "50",
+            "--methods", "dpi,mmb", "--max-iter", "50",
             "--seed", "6", "--output", out,
         ]) == 0
         methods = {line.split("\t")[0] for line in out.read_text().splitlines()[1:]}

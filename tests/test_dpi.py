@@ -22,14 +22,12 @@ from cnvfuse.dpi import (
     _min_plus_path,
     dp_impute,
     dpi_fit,
-    loss_baf_10,
-    loss_baf_4,
-    loss_logr,
-    path_objective,
     reestimate_mu,
 )
 from cnvfuse.errors import NonFiniteInput
-from cnvfuse.signal_model import STATE_BY_NAME, STATES_BY_COPY, SnpTrack, TEN_STATES
+from cnvfuse.signal_model import STATES_BY_COPY, SnpTrack, TEN_STATES
+
+from oracles import STATE_BY_NAME, loss_baf_10, loss_baf_4, loss_logr, path_objective
 
 
 def make_track(logr, baf):
@@ -333,6 +331,24 @@ class TestDpImpute:
         model = DpiModel(DEFAULT_COPY_LOGR_MEANS, 0.1, 0.1)
         with pytest.raises(NonFiniteInput):
             dp_impute(track, model)
+
+
+class TestDpiModel:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", ["mu0", "mu3", "lambda1", "lambda2", "alpha"])
+    def test_rejects_non_finite(self, field, bad):
+        mu = list(DEFAULT_COPY_LOGR_MEANS)
+        values = {"lambda1": 0.1, "lambda2": 0.1, "alpha": 12.0}
+        if field.startswith("mu"):
+            mu[int(field[2])] = bad
+        else:
+            values[field] = bad
+        with pytest.raises(ValueError, match="must be finite"):
+            DpiModel(tuple(mu), **values)
+
+    def test_rejects_decreasing_means(self):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            DpiModel((-5.6, -0.6, -0.7, 0.3), 0.1, 0.1)
 
 
 class TestKernelEquivalence:

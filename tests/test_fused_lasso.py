@@ -14,10 +14,8 @@ from cnvfuse.errors import NonFiniteInput, ZeroPivot
 from cnvfuse.fused_lasso import (
     TridiagonalSystem,
     build_surrogate,
-    gradient,
     objective,
     smooth_abs,
-    soft_threshold_check,
     solve_mm_block,
     solve_mm_tdm,
     thomas_solve,
@@ -25,12 +23,14 @@ from cnvfuse.fused_lasso import (
 from cnvfuse.signal_model import TuningConstants
 from cnvfuse.simulate import CnvType, SimSpec, generate
 
+from oracles import gradient, soft_threshold_check
+
 
 def dense_matrix(system):
     return (
         np.diag(system.diag)
-        + np.diag(system.upper, 1)
-        + np.diag(system.lower, -1)
+        + np.diag(system.off, 1)
+        + np.diag(system.off, -1)
     )
 
 
@@ -59,7 +59,7 @@ def random_spd_tridiagonal(rng, n):
     d[:-1] += np.abs(off)
     d[1:] += np.abs(off)
     rhs = rng.normal(size=n)
-    return TridiagonalSystem(diag=d, upper=off, lower=off.copy(), rhs=rhs)
+    return TridiagonalSystem(diag=d, off=off, rhs=rhs)
 
 
 class TestSmoothAbs:
@@ -101,7 +101,7 @@ class TestBuildSurrogate:
         tc = TuningConstants(1.0, 1.0, epsilon=1.0)
         system = build_surrogate([0.0, 0.0], [1.0, 2.0], tc)
         assert system.diag.tolist() == [3.0, 3.0]
-        assert system.upper.tolist() == [-1.0]
+        assert system.off.tolist() == [-1.0]
         assert system.rhs.tolist() == [1.0, 2.0]
 
     def test_zero_lambdas_identity(self):
@@ -109,7 +109,7 @@ class TestBuildSurrogate:
         y = rng.normal(size=8)
         system = build_surrogate(rng.normal(size=8), y, TuningConstants(0.0, 0.0))
         assert np.all(system.diag == 1.0)
-        assert np.all(system.upper == 0.0)
+        assert np.all(system.off == 0.0)
         assert np.array_equal(system.rhs, y)
 
     def test_matches_dense_assembly_oracle(self):
@@ -127,23 +127,21 @@ class TestBuildSurrogate:
         tc = TuningConstants(0.5, 2.0)
         s = build_surrogate(beta_m, rng.normal(size=50), tc)
         offsum = np.zeros(50)
-        offsum[:-1] += np.abs(s.upper)
-        offsum[1:] += np.abs(s.lower)
+        offsum[:-1] += np.abs(s.off)
+        offsum[1:] += np.abs(s.off)
         assert np.all(s.diag - offsum >= 1.0)  # identity plus lambda1 slack
 
 
 class TestThomasSolve:
     def test_identity(self):
         system = TridiagonalSystem(
-            diag=np.ones(3), upper=np.zeros(2), lower=np.zeros(2),
-            rhs=np.array([5.0, -3.0, 2.0]),
+            diag=np.ones(3), off=np.zeros(2), rhs=np.array([5.0, -3.0, 2.0]),
         )
         assert thomas_solve(system).tolist() == [5.0, -3.0, 2.0]
 
     def test_small_exact(self):
         system = TridiagonalSystem(
-            diag=np.array([2.0, 2.0]), upper=np.array([-1.0]),
-            lower=np.array([-1.0]), rhs=np.array([1.0, 1.0]),
+            diag=np.array([2.0, 2.0]), off=np.array([-1.0]), rhs=np.array([1.0, 1.0]),
         )
         np.testing.assert_allclose(thomas_solve(system), [1.0, 1.0], rtol=1e-15)
 
@@ -158,8 +156,7 @@ class TestThomasSolve:
 
     def test_zero_pivot(self):
         system = TridiagonalSystem(
-            diag=np.array([0.0, 1.0]), upper=np.array([1.0]),
-            lower=np.array([1.0]), rhs=np.array([1.0, 1.0]),
+            diag=np.array([0.0, 1.0]), off=np.array([1.0]), rhs=np.array([1.0, 1.0]),
         )
         with pytest.raises(ZeroPivot):
             thomas_solve(system)
@@ -175,8 +172,7 @@ def reference_thomas_solve(system):
         if abs(b[0]) < 1e-300:
             raise ZeroPivot("zero pivot at row 0")
         return np.array([d[0] / b[0]])
-    a = system.lower.tolist()
-    c = system.upper.tolist()
+    a = c = system.off.tolist()
     cp = [0.0] * (n - 1)
     dp = [0.0] * n
     piv = b[0]
@@ -198,15 +194,14 @@ def reference_thomas_solve(system):
 
 
 def random_dominant_tridiagonal(rng, n):
-    """Strictly diagonally dominant system with lower != upper and
-    diagonal entries of either sign."""
-    lower = rng.uniform(-2.0, 2.0, size=n - 1)
-    upper = rng.uniform(-2.0, 2.0, size=n - 1)
+    """Strictly diagonally dominant symmetric system with diagonal entries
+    of either sign."""
+    off = rng.uniform(-2.0, 2.0, size=n - 1)
     diag = rng.uniform(0.1, 1.0, size=n)
-    diag[1:] += np.abs(lower)
-    diag[:-1] += np.abs(upper)
+    diag[1:] += np.abs(off)
+    diag[:-1] += np.abs(off)
     diag *= rng.choice([-1.0, 1.0], size=n)
-    return TridiagonalSystem(diag=diag, upper=upper, lower=lower, rhs=rng.normal(size=n) * 10.0)
+    return TridiagonalSystem(diag=diag, off=off, rhs=rng.normal(size=n) * 10.0)
 
 
 def simulated_logr(n, seed, cnv_type=CnvType.DELETION1):
@@ -227,7 +222,6 @@ class TestThomasEquivalence:
         rng = np.random.default_rng(n)
         for _ in range(20 if n < 20000 else 3):
             system = random_dominant_tridiagonal(rng, n)
-            assert not np.array_equal(system.lower, system.upper) or n == 1
             x = thomas_solve(system)
             ref = reference_thomas_solve(system)
             assert np.array_equal(x, ref)
@@ -237,12 +231,10 @@ class TestThomasEquivalence:
         rng = np.random.default_rng(11)
         wide = random_dominant_tridiagonal(rng, 400)
         strided = TridiagonalSystem(
-            diag=wide.diag[::2], upper=wide.upper[:-1:2], lower=wide.lower[1::2],
-            rhs=wide.rhs[::2],
+            diag=wide.diag[::2], off=wide.off[1::2], rhs=wide.rhs[::2],
         )
         integer = TridiagonalSystem(
-            diag=np.array([4, -5, 6]), upper=np.array([1, 2]), lower=np.array([-1, 3]),
-            rhs=np.array([7, 0, -2]),
+            diag=np.array([4, -5, 6]), off=np.array([-1, 3]), rhs=np.array([7, 0, -2]),
         )
         for system in (strided, integer):
             assert_same_bits(thomas_solve(system), reference_thomas_solve(system))
@@ -279,8 +271,7 @@ class TestThomasEquivalence:
     )
     def test_zero_pivot_names_the_same_row(self, diag, off, row):
         system = TridiagonalSystem(
-            diag=np.array(diag), upper=np.array(off), lower=np.array(off),
-            rhs=np.ones(len(diag)),
+            diag=np.array(diag), off=np.array(off), rhs=np.ones(len(diag)),
         )
         with pytest.raises(ZeroPivot) as ref:
             reference_thomas_solve(system)
@@ -292,8 +283,7 @@ class TestThomasEquivalence:
     def test_pivot_at_the_floor_is_accepted(self, diag):
         off = [0.0] * (len(diag) - 1)
         system = TridiagonalSystem(
-            diag=np.array(diag), upper=np.array(off), lower=np.array(off),
-            rhs=np.ones(len(diag)),
+            diag=np.array(diag), off=np.array(off), rhs=np.ones(len(diag)),
         )
         assert_same_bits(thomas_solve(system), reference_thomas_solve(system))
 

@@ -214,3 +214,12 @@ class TestCallCnvs:
     def test_rejects_bad_fdr_level(self):
         with pytest.raises(ValueError):
             call_cnvs(np.zeros(10), 0.1, fdr_level=1.5)
+
+    @pytest.mark.parametrize("sigma", [0.2, 3.0])
+    def test_merge_tolerance_is_a_tenth_of_sigma(self, sigma):
+        # a step of 0.09 sigma stays inside one segment, one of 0.11 sigma
+        # starts a new one
+        for factor, bounds in ((0.09, [(0, 59)]), (0.11, [(0, 29), (30, 59)])):
+            beta = np.concatenate([np.zeros(30), np.full(30, factor * sigma)])
+            segs = call_cnvs(beta, sigma)
+            assert [(s.start_index, s.end_index) for s in segs] == bounds

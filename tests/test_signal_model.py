@@ -217,6 +217,13 @@ class TestTuningConstants:
         with pytest.raises(ValueError):
             TuningConstants(1.0, 1.0, epsilon=0.0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", ["lambda1", "lambda2", "epsilon"])
+    def test_rejects_non_finite(self, field, bad):
+        values = {"lambda1": 1.0, "lambda2": 1.0, "epsilon": 1e-10, field: bad}
+        with pytest.raises(ValueError, match="must be finite"):
+            TuningConstants(**values)
+
 
 class TestStateTable:
     def test_copy_numbers(self):

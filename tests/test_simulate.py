@@ -1,5 +1,7 @@
 """Tests for the synthetic track generator, scorer, and benchmark harness."""
 
+import hashlib
+import logging
 import math
 
 import numpy as np
@@ -19,6 +21,28 @@ from cnvfuse.simulate import (
 
 
 class TestGenerate:
+    @pytest.mark.parametrize(
+        "spec,digest",
+        [
+            (
+                SimSpec(n=2000, cnv_length=60, cnv_type=CnvType.DELETION0, sigma_baf=0.4, seed=5),
+                "d330399841a62000e1c21d03ffa886a9e18f7b81ffa00bceca858fb745fe06e1",
+            ),
+            (
+                SimSpec(n=2000, cnv_length=60, cnv_type=CnvType.DUPLICATION, seed=6),
+                "9221aa9fe96313f1b12f66373cf3f2f79cd5712cfc57d5ad2d93fb9663ea9f1b",
+            ),
+        ],
+    )
+    def test_clipped_baf_is_not_clamped_again(self, caplog, spec, digest):
+        # generate clips BAF itself, so the track's ingest clamp finds
+        # nothing to clamp or log; the digests pin the BAF bytes
+        with caplog.at_level(logging.WARNING, logger="cnvfuse"):
+            baf = generate(spec).track.baf
+        assert caplog.records == []
+        assert np.count_nonzero(baf == 0.0) and np.count_nonzero(baf == 1.0)
+        assert hashlib.sha256(baf.tobytes()).hexdigest() == digest
+
     def test_noiseless_duplication_hits_table_values(self):
         spec = SimSpec(
             n=200, cnv_length=10, cnv_type=CnvType.DUPLICATION,
