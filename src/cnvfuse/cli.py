@@ -14,6 +14,7 @@ import argparse
 import logging
 import math
 import operator
+import os
 import sys
 from itertools import compress
 
@@ -256,9 +257,9 @@ def _split_track(chrom: str, track: SnpTrack, splits) -> list[SnpTrack]:
     return pieces
 
 
-def _sequences(args):
-    """Yield (chrom, track) for every sequence of the input file, cutting
-    chromosomes at the ``--split-at`` positions."""
+def _sequences(args) -> list[tuple[str, SnpTrack]]:
+    """Every sequence of the input file as (chrom, track), in file order,
+    with chromosomes cut at the ``--split-at`` positions."""
     tracks = read_track_file(args.input)
     splits = _parse_split_at(args.split_at) if args.split_at else {}
     present = {chrom for chrom, _ in tracks}
@@ -267,9 +268,7 @@ def _sequences(args):
         logger.warning(
             "--split-at names chromosomes absent from the input: %s", ", ".join(missing)
         )
-    for chrom, whole in tracks:
-        for track in _split_track(chrom, whole, splits):
-            yield chrom, track
+    return [(chrom, track) for chrom, whole in tracks for track in _split_track(chrom, whole, splits)]
 
 
 def _where(chrom: str, track: SnpTrack) -> str:
@@ -277,14 +276,135 @@ def _where(chrom: str, track: SnpTrack) -> str:
     return f"chromosome {chrom} (positions {int(track.positions[0])}-{int(track.positions[-1])})"
 
 
-def _fits(args, route, **params):
-    """Yield (chrom, track, route(track, --lambda1, --lambda2, **params))
-    for every sequence. A CnvFuseError raised for one sequence names it."""
-    for chrom, track in _sequences(args):
-        try:
-            result = route(track, args.lambda1, args.lambda2, **params)
-        except CnvFuseError as exc:
-            raise type(exc)(f"{_where(chrom, track)}: {exc}") from exc
+def _fl_rows(args, chrom, track) -> tuple[list[str], bool]:
+    """Fit one sequence by fused lasso; return its output rows and whether
+    MM converged."""
+    _, fit, segments = pipeline.fit_fused_lasso(
+        track,
+        args.lambda1,
+        args.lambda2,
+        epsilon=args.epsilon,
+        tol=args.tol,
+        max_iter=args.max_iter,
+        fdr_level=args.fdr,
+        min_snps=args.min_snps,
+    )
+    rows = [
+        "\t".join(
+            [
+                chrom,
+                str(int(track.positions[seg.start_index])),
+                str(int(track.positions[seg.end_index])),
+                str(seg.n_snps),
+                _fmt(seg.mean_beta),
+                _fmt(seg.z),
+                _fmt(seg.p_value),
+                seg.call.value,
+            ]
+        )
+        for seg in segments
+    ]
+    return rows, bool(fit.converged)
+
+
+def _dpi_rows(args, chrom, track) -> tuple[list[str], list[str]]:
+    """Impute one sequence's copy numbers by DP; return its per-SNP rows
+    and its constant-copy segment rows."""
+    path = pipeline.fit_dpi(
+        track,
+        args.lambda1,
+        args.lambda2,
+        alpha=args.alpha,
+        mu_init=args.mu_init,
+        max_rounds=args.max_rounds,
+    ).path
+    positions = track.positions.tolist()
+    copies = path.copy_numbers.tolist()
+    snp_rows = [
+        f"{sid}\t{chrom}\t{p}\t{st.genotype}\t{c}"
+        for sid, p, st, c in zip(track.snp_ids, positions, path.states, copies)
+    ]
+    starts = [0, *(np.flatnonzero(np.diff(path.copy_numbers)) + 1).tolist()]
+    ends = [*starts[1:], len(copies)]
+    seg_rows = [
+        f"{chrom}\t{positions[a]}\t{positions[b - 1]}\t{b - a}\t{copies[a]}"
+        for a, b in zip(starts, ends)
+    ]
+    return snp_rows, seg_rows
+
+
+def _fit_sequence(rows_of, args, chrom, track):
+    """``rows_of(args, chrom, track)``; a CnvFuseError raised for the
+    sequence names it."""
+    try:
+        return rows_of(args, chrom, track)
+    except CnvFuseError as exc:
+        raise type(exc)(f"{_where(chrom, track)}: {exc}") from exc
+
+
+# (rows_of, args, sequences) of the worker pool being started. Workers
+# inherit it through fork and are sent only sequence indices, so no track
+# is pickled, and no function that a tracer has replaced by a closure.
+# Forked workers also skip the ~0.1 s import of numpy and cnvfuse that a
+# spawned one repeats; the CLI starts no thread of its own before it forks.
+_forked_job = None
+
+
+def _fit_forked(k):
+    rows_of, args, sequences = _forked_job
+    return _fit_sequence(rows_of, args, *sequences[k])
+
+
+def _worker_count(n_sequences: int) -> int:
+    """Worker processes to fit n_sequences in: one per CPU this process
+    may use, at most one per sequence, or 1 (fit in-process) where there
+    is no fork."""
+    if not hasattr(os, "fork"):
+        return 1
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:
+        cpus = os.cpu_count() or 1
+    return min(cpus, n_sequences)
+
+
+def _fit_in_pool(rows_of, args, sequences, workers: int):
+    """Yield ``_fit_sequence(rows_of, args, chrom, track)`` for every
+    sequence, in input order, fitting the sequences longest first in
+    ``workers`` forked processes.
+
+    On an error, the work not yet started is cancelled. Every worker is
+    reaped before the generator finishes or raises."""
+    global _forked_job
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    longest_first = sorted(range(len(sequences)), key=lambda k: -sequences[k][1].n)
+    # a child would write out again whatever was left in the buffers
+    sys.stdout.flush()
+    sys.stderr.flush()
+    _forked_job = (rows_of, args, sequences)
+    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+    try:
+        futures = {k: pool.submit(_fit_forked, k) for k in longest_first}
+        for k in range(len(sequences)):
+            yield futures[k].result()
+    finally:
+        pool.shutdown(wait=True, cancel_futures=True)
+        _forked_job = None
+
+
+def _fits(args, rows_of, parallel: bool):
+    """Yield (chrom, track, rows_of(args, chrom, track)) for every sequence,
+    in input order. With ``parallel``, the sequences are fitted in worker
+    processes (see ``_worker_count``)."""
+    sequences = _sequences(args)
+    workers = _worker_count(len(sequences)) if parallel else 1
+    if workers > 1:
+        results = _fit_in_pool(rows_of, args, sequences, workers)
+    else:
+        results = (_fit_sequence(rows_of, args, chrom, track) for chrom, track in sequences)
+    for (chrom, track), result in zip(sequences, results):
         yield chrom, track, result
 
 
@@ -305,60 +425,23 @@ def _mu_init(text: str) -> tuple[float, float, float, float]:
 
 
 def cmd_segment_fl(args) -> int:
-    fits = _fits(
-        args,
-        pipeline.fit_fused_lasso,
-        epsilon=args.epsilon,
-        tol=args.tol,
-        max_iter=args.max_iter,
-        fdr_level=args.fdr,
-        min_snps=args.min_snps,
-    )
     lines = ["\t".join(["chrom", "start_pos", "end_pos", "n_snps", "mean_beta", "z", "p", "call"])]
-    for chrom, track, (_, fit, segments) in fits:
-        if not fit.converged:
+    for chrom, track, (rows, converged) in _fits(args, _fl_rows, parallel=True):
+        if not converged:
             logger.warning(
                 "%s: MM stopped at max_iter=%d without converging", _where(chrom, track), args.max_iter
             )
-        for seg in segments:
-            lines.append(
-                "\t".join(
-                    [
-                        chrom,
-                        str(int(track.positions[seg.start_index])),
-                        str(int(track.positions[seg.end_index])),
-                        str(seg.n_snps),
-                        _fmt(seg.mean_beta),
-                        _fmt(seg.z),
-                        _fmt(seg.p_value),
-                        seg.call.value,
-                    ]
-                )
-            )
+        lines.extend(rows)
     _write_lines(args.output, lines)
     return 0
 
 
 def cmd_segment_dpi(args) -> int:
-    fits = _fits(
-        args, pipeline.fit_dpi, alpha=args.alpha, mu_init=args.mu_init, max_rounds=args.max_rounds
-    )
     snp_lines = ["\t".join(["snp_id", "chrom", "pos", "genotype_state", "copy_number"])]
     seg_lines = ["\t".join(["chrom", "start_pos", "end_pos", "n_snps", "copy_number"])]
-    for chrom, track, fit in fits:
-        path = fit.path
-        positions = track.positions.tolist()
-        copies = path.copy_numbers.tolist()
-        snp_lines.extend(
-            f"{sid}\t{chrom}\t{p}\t{st.genotype}\t{c}"
-            for sid, p, st, c in zip(track.snp_ids, positions, path.states, copies)
-        )
-        starts = [0, *(np.flatnonzero(np.diff(path.copy_numbers)) + 1).tolist()]
-        ends = [*starts[1:], len(copies)]
-        seg_lines.extend(
-            f"{chrom}\t{positions[a]}\t{positions[b - 1]}\t{b - a}\t{copies[a]}"
-            for a, b in zip(starts, ends)
-        )
+    for _, _, (snp_rows, seg_rows) in _fits(args, _dpi_rows, parallel=False):
+        snp_lines.extend(snp_rows)
+        seg_lines.extend(seg_rows)
     _write_lines(args.output, snp_lines)
     if args.segments_out:
         _write_lines(args.segments_out, seg_lines)

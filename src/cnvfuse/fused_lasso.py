@@ -195,8 +195,8 @@ def _solve_mm(y, tc: TuningConstants, tol: float, max_iter: int, step) -> BetaFi
         raise ValueError("y must be a 1-D vector of length >= 1")
     if not np.all(np.isfinite(y)):
         raise NonFiniteInput("y contains non-finite values")
-    if not tol > 0:
-        raise ValueError("tol must be positive")
+    if not 0 < tol < math.inf:
+        raise ValueError("tol must be positive and finite")
     if max_iter < 1:
         raise ValueError("max_iter must be positive")
     if y.size == 1:

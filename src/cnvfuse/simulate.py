@@ -61,6 +61,11 @@ class SimSpec:
             raise ValueError("n must be positive")
         if not 0 <= self.cnv_length <= self.n:
             raise ValueError("cnv_length must lie in [0, n]")
+        for name in ("sigma_logr", "sigma_baf"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
+        if not all(math.isfinite(m) for m in self.mu_truth):
+            raise ValueError("mu_truth must be finite")
         if self.sigma_logr < 0 or self.sigma_baf < 0:
             raise ValueError("noise levels must be non-negative")
         if not 0.0 < self.maf <= 0.5:

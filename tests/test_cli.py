@@ -2,6 +2,8 @@
 
 import logging
 import math
+import multiprocessing
+import time
 
 import numpy as np
 import pytest
@@ -392,6 +394,21 @@ class TestSimulateCommand:
         assert run_cli(["simulate", "--n", "50", "--cnv-length", "60"]) == 1
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flag, message",
+        [
+            (["--sigma-logr", "nan"], "sigma_logr must be finite"),
+            (["--sigma-baf", "inf"], "sigma_baf must be finite"),
+            (["--maf", "nan"], "maf must lie in (0, 0.5]"),
+            (["--mu-truth=-inf,-0.6313,-0.0045,0.3252"], "mu_truth must be finite"),
+        ],
+    )
+    def test_non_finite_parameters_fail(self, tmp_path, capsys, flag, message):
+        out = tmp_path / "trk.tsv"
+        assert run_cli(["simulate", "--n", "300", *flag, "--output", out]) == 1
+        assert capsys.readouterr().err == f"cnvfuse: error: {message}\n"
+        assert not out.exists()
+
     def test_truth_output_alignment(self, tmp_path):
         track_path = tmp_path / "t.tsv"
         truth_path = tmp_path / "truth.tsv"
@@ -525,6 +542,8 @@ _DPI_NOT_FINITE = "mu, lambda1, lambda2 and alpha must be finite"
         ("segment-dpi", ["--alpha", "inf"], _DPI_NOT_FINITE),
         ("segment-dpi", ["--mu-init=-inf,-0.6313,-0.0045,0.3252"], _DPI_NOT_FINITE),
         ("segment-dpi", ["--mu-init=-5.5923,-0.6313,-0.0045,nan"], _DPI_NOT_FINITE),
+        ("segment-fl", ["--tol", "inf"], "tol must be positive and finite"),
+        ("segment-fl", ["--tol", "nan"], "tol must be positive and finite"),
     ],
 )
 def test_non_finite_parameters_rejected(tmp_path, capsys, route, flag, message):
@@ -535,6 +554,105 @@ def test_non_finite_parameters_rejected(tmp_path, capsys, route, flag, message):
     assert captured.err == f"cnvfuse: error: {message}\n"
     assert captured.out == ""
     assert not out.exists()
+
+
+def _sequences_file(tmp_path, lengths):
+    """A track file with one simulated sequence of each length, on
+    chromosomes 1, 2, ... in that order."""
+    lines = ["\t".join(TRACK_COLUMNS)]
+    for k, n in enumerate(lengths):
+        cnv = min(30, n // 4)
+        track = simulate_track(tmp_path, f"seq{k}.tsv", n=n, cnv_length=cnv, seed=40 + k, chrom=k + 1)
+        lines += track.read_text().splitlines()[1:]
+    path = tmp_path / "sequences.tsv"
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+def _run_with_workers(monkeypatch, caplog, capsys, workers, argv):
+    """Run the CLI with the pool's worker count set to ``workers``; return
+    the exit code, stdout, stderr and the warnings logged, and check that
+    the pool ran exactly when ``workers`` > 1 and left no process behind."""
+    pools = []
+    fit_in_pool = cli._fit_in_pool
+    monkeypatch.setattr(cli, "_worker_count", lambda n_sequences: workers)
+    monkeypatch.setattr(cli, "_fit_in_pool", lambda *a: pools.append(a[-1]) or fit_in_pool(*a))
+    caplog.clear()
+    with caplog.at_level("WARNING", logger="cnvfuse.cli"):
+        code = run_cli(argv)
+    assert pools == ([workers] if workers > 1 else [])
+    assert multiprocessing.active_children() == []
+    captured = capsys.readouterr()
+    warnings = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
+    return code, captured.out, captured.err, warnings
+
+
+def _finish_last(monkeypatch, chrom):
+    """Start the fit of chromosome ``chrom`` half a second late, so that
+    it finishes after the fits of the other short sequences."""
+    fl_rows = cli._fl_rows
+
+    def late(args, c, track):
+        if c == chrom:
+            time.sleep(0.5)
+        return fl_rows(args, c, track)
+
+    monkeypatch.setattr(cli, "_fl_rows", late)
+
+
+class TestWorkerPool:
+    LENGTHS = (300, 900, 500, 700)
+
+    @pytest.mark.parametrize("flags", [[], ["--max-iter", "1"], ["--split-at", "2:2500000"]])
+    def test_output_does_not_depend_on_workers(self, tmp_path, monkeypatch, caplog, capsys, flags):
+        track = _sequences_file(tmp_path, self.LENGTHS)
+        runs = []
+        for workers in (1, 2, 3):
+            out = tmp_path / f"seg{workers}.tsv"
+            argv = ["segment-fl", track, "--output", out, *flags]
+            code, stdout, stderr, warnings = _run_with_workers(monkeypatch, caplog, capsys, workers, argv)
+            assert code == 0 and stdout == stderr == ""
+            runs.append((out.read_bytes(), warnings))
+            code, stdout, _, _ = _run_with_workers(monkeypatch, caplog, capsys, workers, argv[:2] + flags)
+            assert code == 0 and stdout.encode() == runs[-1][0]
+        assert runs[1] == runs[0] and runs[2] == runs[0]
+        assert len(runs[0][0].splitlines()) > len(self.LENGTHS)
+
+    def test_unconverged_sequences_are_warned_in_input_order(
+        self, tmp_path, monkeypatch, caplog, capsys
+    ):
+        # sent out as 2, 1, 3 and finished as 2, 3, 1
+        track = _sequences_file(tmp_path, (400, 1200, 300))
+        _finish_last(monkeypatch, "1")
+        argv = ["segment-fl", track, "--output", tmp_path / "seg.tsv", "--max-iter", "1"]
+        _, _, _, warnings = _run_with_workers(monkeypatch, caplog, capsys, 2, argv)
+        assert warnings == [
+            f"chromosome {chrom} (positions 5000-{last}): MM stopped at max_iter=1 without converging"
+            for chrom, last in ((1, 2_000_000), (2, 6_000_000), (3, 1_500_000))
+        ]
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize(
+        "lengths, named",
+        [
+            ((30, 900, 500, 700), "1 (positions 5000-150000): need at least 40 values to estimate sigma, got 30"),
+            ((300, 900, 500, 30), "4 (positions 5000-150000): need at least 40 values to estimate sigma, got 30"),
+            # the later short sequence fails first
+            ((300, 20, 500, 30), "2 (positions 5000-100000): need at least 40 values to estimate sigma, got 20"),
+        ],
+    )
+    def test_failing_sequence_is_named(
+        self, tmp_path, monkeypatch, caplog, capsys, workers, lengths, named
+    ):
+        track = _sequences_file(tmp_path, lengths)
+        _finish_last(monkeypatch, named.split()[0])
+        out = tmp_path / "seg.tsv"
+        code, stdout, stderr, _ = _run_with_workers(
+            monkeypatch, caplog, capsys, workers, ["segment-fl", track, "--output", out]
+        )
+        assert code == 1 and stdout == ""
+        assert stderr == f"cnvfuse: error: chromosome {named}\n"
+        assert not out.exists()
 
 
 class TestSegmentDpi:

@@ -329,6 +329,12 @@ class TestSolveMmTdm:
         with pytest.raises(NonFiniteInput):
             solve_mm_tdm([1.0, np.nan], TuningConstants(1.0, 1.0))
 
+    @pytest.mark.parametrize("tol", [0.0, -1.0, np.inf, np.nan])
+    def test_rejects_tol_outside_positive_finite(self, tol):
+        # tol=inf stopped after one iteration and reported convergence
+        with pytest.raises(ValueError, match="^tol must be positive and finite$"):
+            solve_mm_tdm(np.zeros(10), TuningConstants(1.0, 1.0), tol=tol)
+
     def test_descent_property(self):
         rng = np.random.default_rng(6)
         for _ in range(10):

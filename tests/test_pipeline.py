@@ -123,10 +123,27 @@ def _run_routes(tmp_path, path, tag):
     return [out.read_bytes() for out in (fl, dpi, seg)]
 
 
-def test_tracer_sees_every_layer(tmp_path):
+def test_traced_output_with_worker_pool_is_unchanged(tmp_path, monkeypatch):
     tracing = _load_tracing()
     path = _track_file(tmp_path)
     plain = _run_routes(tmp_path, path, "plain")
+    monkeypatch.setattr(cli, "_worker_count", lambda n_sequences: 2)
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        traced = _run_routes(tmp_path, path, "traced")
+    finally:
+        tracer.uninstall()
+    assert traced == plain
+
+
+def test_tracer_sees_every_layer(tmp_path, monkeypatch):
+    tracing = _load_tracing()
+    path = _track_file(tmp_path)
+    plain = _run_routes(tmp_path, path, "plain")
+    # spans recorded in forked workers stay there; with one usable CPU (as
+    # under taskset -c 0) segment-fl fits every sequence in-process
+    monkeypatch.setattr(cli, "_worker_count", lambda n_sequences: 1)
     tracer = tracing.Tracer()
     tracer.install()
     try:
@@ -154,6 +171,27 @@ def test_import_limits_openblas_threads_unless_set(preset, want):
         check=True,
     )
     assert out.stdout.strip() == want
+
+
+def test_pool_modules_are_imported_only_for_a_pool(tmp_path):
+    # importing multiprocessing and concurrent.futures costs ~20 ms
+    code = (
+        "import sys\n"
+        "from cnvfuse import cli\n"
+        "pool = ('multiprocessing', 'concurrent.futures')\n"
+        "print([m for m in pool if m in sys.modules])\n"
+        "assert cli.main(['segment-dpi', sys.argv[1], '--output', sys.argv[3]]) == 0\n"
+        "assert cli.main(['segment-fl', sys.argv[2], '--output', sys.argv[3]]) == 0\n"
+        "print([m for m in pool if m in sys.modules])\n"
+        "cli._worker_count = lambda n_sequences: 2\n"
+        "assert cli.main(['segment-fl', sys.argv[1], '--output', sys.argv[3]]) == 0\n"
+        "print([m for m in pool if m in sys.modules])\n"
+    )
+    two, one = _track_file(tmp_path), _track_file(tmp_path, chroms=("1",))
+    argv = [sys.executable, "-c", code, str(two), str(one), str(tmp_path / "out.tsv")]
+    env = dict(os.environ, PYTHONPATH=str(Path(cnvfuse.__file__).resolve().parents[1]))
+    out = subprocess.run(argv, env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.splitlines() == ["[]", "[]", "['multiprocessing', 'concurrent.futures']"]
 
 
 def test_cli_runs_do_not_import_numpy_ma(tmp_path):

@@ -111,6 +111,22 @@ class TestGenerate:
         with pytest.raises(ValueError):
             SimSpec(n=100, cnv_length=10, cnv_start=95)
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("sigma_logr", math.nan, "sigma_logr must be finite"),
+            ("sigma_logr", -math.inf, "sigma_logr must be finite"),
+            ("sigma_baf", math.inf, "sigma_baf must be finite"),
+            ("maf", math.nan, r"maf must lie in \(0, 0\.5\]"),
+            ("maf", math.inf, r"maf must lie in \(0, 0\.5\]"),
+            ("mu_truth", (-math.inf, -0.6313, -0.0045, 0.3252), "mu_truth must be finite"),
+            ("mu_truth", (-5.5923, -0.6313, math.nan, 0.3252), "mu_truth must be finite"),
+        ],
+    )
+    def test_non_finite_parameters_rejected(self, field, value, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            SimSpec(n=100, **{field: value})
+
     def test_dataset_shapes(self):
         specs = dataset1_specs(count=36, seed=3)
         assert len(specs) == 36
