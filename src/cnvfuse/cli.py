@@ -369,9 +369,9 @@ def _worker_count(n_sequences: int) -> int:
 
 
 def _fit_in_pool(rows_of, args, sequences, workers: int):
-    """Yield ``_fit_sequence(rows_of, args, chrom, track)`` for every
-    sequence, in input order, fitting the sequences longest first in
-    ``workers`` forked processes.
+    """Yield (chrom, track, ``_fit_sequence(rows_of, args, chrom, track)``)
+    for every sequence, in input order, fitting the sequences longest
+    first in ``workers`` forked processes.
 
     On an error, the work not yet started is cancelled. Every worker is
     reaped before the generator finishes or raises."""
@@ -387,25 +387,22 @@ def _fit_in_pool(rows_of, args, sequences, workers: int):
     pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
     try:
         futures = {k: pool.submit(_fit_forked, k) for k in longest_first}
-        for k in range(len(sequences)):
-            yield futures[k].result()
+        for k, (chrom, track) in enumerate(sequences):
+            yield chrom, track, futures[k].result()
     finally:
         pool.shutdown(wait=True, cancel_futures=True)
         _forked_job = None
 
 
 def _fits(args, rows_of, parallel: bool):
-    """Yield (chrom, track, rows_of(args, chrom, track)) for every sequence,
-    in input order. With ``parallel``, the sequences are fitted in worker
-    processes (see ``_worker_count``)."""
+    """An iterator of (chrom, track, rows_of(args, chrom, track)) over every
+    sequence, in input order. With ``parallel``, the sequences are fitted
+    in worker processes (see ``_worker_count``)."""
     sequences = _sequences(args)
     workers = _worker_count(len(sequences)) if parallel else 1
     if workers > 1:
-        results = _fit_in_pool(rows_of, args, sequences, workers)
-    else:
-        results = (_fit_sequence(rows_of, args, chrom, track) for chrom, track in sequences)
-    for (chrom, track), result in zip(sequences, results):
-        yield chrom, track, result
+        return _fit_in_pool(rows_of, args, sequences, workers)
+    return ((chrom, track, _fit_sequence(rows_of, args, chrom, track)) for chrom, track in sequences)
 
 
 def _write_lines(path, lines):
