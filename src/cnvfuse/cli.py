@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import logging
-import math
 import operator
 import os
 import sys
@@ -41,12 +40,6 @@ _BLOCK_SIZE = 1 << 16
 
 # positions are stored as int64
 _MAX_POSITION = (1 << 63) - 1
-
-
-def _fmt(x: float) -> str:
-    if isinstance(x, float) and math.isnan(x):
-        return "nan"
-    return format(x, ".6g")
 
 
 def read_track_file(path) -> list[tuple[str, SnpTrack]]:
@@ -218,57 +211,52 @@ def _add_block(ids, chroms, pos, logr, baf, groups):
 
 
 def _parse_split_at(value: str) -> dict[str, list[int]]:
+    """``--split-at``'s cut positions by chromosome, in the order given."""
     splits: dict[str, list[int]] = {}
     for item in value.split(","):
         item = item.strip()
         if not item:
             continue
         chrom, _, pos = item.rpartition(":")
-        if not chrom:
-            raise ValueError(f"--split-at entries must look like chrom:pos, got {item!r}")
-        splits.setdefault(chrom, []).append(int(pos))
-    for chrom in splits:
-        splits[chrom].sort()
+        try:
+            if not chrom:
+                raise ValueError
+            splits.setdefault(chrom, []).append(int(pos))
+        except ValueError:
+            raise ValueError(f"--split-at entries must look like chrom:pos, got {item!r}") from None
     return splits
 
 
-def _split_track(chrom: str, track: SnpTrack, splits) -> list[SnpTrack]:
-    """Cut one chromosome at the given positions (each piece is processed
-    as an independent sequence, e.g. chromosome arms)."""
-    cuts = splits.get(chrom, []) if splits else []
-    if not cuts:
+def _split_track(track: SnpTrack, cuts) -> list[SnpTrack]:
+    """Cut one chromosome into independent sequences (e.g. chromosome
+    arms): a piece starts at each SNP with a cut in (previous position,
+    its position]. Cuts at or before the first position or past the last
+    cut nothing."""
+    inner = sorted({i for i in np.searchsorted(track.positions, cuts).tolist() if 0 < i < track.n})
+    if not inner:
         return [track]
-    bounds = [0]
-    for cut in cuts:
-        idx = int(np.searchsorted(track.positions, cut))
-        if bounds[-1] < idx < track.n:
-            bounds.append(idx)
-    bounds.append(track.n)
-    pieces = []
-    for a, b in zip(bounds[:-1], bounds[1:]):
-        pieces.append(
-            SnpTrack(
-                snp_ids=track.snp_ids[a:b],
-                positions=track.positions[a:b],
-                logr=track.logr[a:b],
-                baf=track.baf[a:b],
-            )
-        )
-    return pieces
+    bounds = [0, *inner, track.n]
+    return [
+        SnpTrack(track.snp_ids[a:b], track.positions[a:b], track.logr[a:b], track.baf[a:b])
+        for a, b in zip(bounds, bounds[1:])
+    ]
 
 
 def _sequences(args) -> list[tuple[str, SnpTrack]]:
     """Every sequence of the input file as (chrom, track), in file order,
-    with chromosomes cut at the ``--split-at`` positions."""
+    with chromosomes cut at the ``--split-at`` positions. The flag is
+    checked before the file is read."""
+    splits = _parse_split_at(args.split_at or "")
     tracks = read_track_file(args.input)
-    splits = _parse_split_at(args.split_at) if args.split_at else {}
     present = {chrom for chrom, _ in tracks}
     missing = [chrom for chrom in splits if chrom not in present]
     if missing:
         logger.warning(
             "--split-at names chromosomes absent from the input: %s", ", ".join(missing)
         )
-    return [(chrom, track) for chrom, whole in tracks for track in _split_track(chrom, whole, splits)]
+    return [
+        (chrom, track) for chrom, whole in tracks for track in _split_track(whole, splits.get(chrom, []))
+    ]
 
 
 def _where(chrom: str, track: SnpTrack) -> str:
@@ -296,9 +284,9 @@ def _fl_rows(args, chrom, track) -> tuple[list[str], bool]:
                 str(int(track.positions[seg.start_index])),
                 str(int(track.positions[seg.end_index])),
                 str(seg.n_snps),
-                _fmt(seg.mean_beta),
-                _fmt(seg.z),
-                _fmt(seg.p_value),
+                format(seg.mean_beta, ".6g"),
+                format(seg.z, ".6g"),
+                format(seg.p_value, ".6g"),
                 seg.call.value,
             ]
         )
@@ -460,35 +448,22 @@ def cmd_simulate(args) -> int:
     )
     truth = sim.generate(spec)
     track = truth.track
-    lines = ["\t".join(TRACK_COLUMNS)]
-    for i in range(track.n):
-        lines.append(
-            "\t".join(
-                [
-                    track.snp_ids[i],
-                    spec.chrom,
-                    str(int(track.positions[i])),
-                    _fmt(float(track.logr[i])),
-                    _fmt(float(track.baf[i])),
-                ]
-            )
-        )
-    _write_lines(args.output, lines)
+    # the snp_id, chrom and pos columns, which both files start with
+    heads = [f"{sid}\t{spec.chrom}\t{p}" for sid, p in zip(track.snp_ids, track.positions.tolist())]
+    _write_lines(
+        args.output,
+        ["\t".join(TRACK_COLUMNS)]
+        + [f"{h}\t{y:.6g}\t{x:.6g}" for h, y, x in zip(heads, track.logr.tolist(), track.baf.tolist())],
+    )
     if args.truth_output:
-        tlines = ["\t".join(["snp_id", "chrom", "pos", "true_copy", "true_genotype"])]
-        for i in range(track.n):
-            tlines.append(
-                "\t".join(
-                    [
-                        track.snp_ids[i],
-                        spec.chrom,
-                        str(int(track.positions[i])),
-                        str(int(truth.true_copy[i])),
-                        truth.true_genotype[i].genotype,
-                    ]
-                )
-            )
-        _write_lines(args.truth_output, tlines)
+        _write_lines(
+            args.truth_output,
+            ["\t".join([*TRACK_COLUMNS[:3], "true_copy", "true_genotype"])]
+            + [
+                f"{h}\t{c}\t{g.genotype}"
+                for h, c, g in zip(heads, truth.true_copy.tolist(), truth.true_genotype)
+            ],
+        )
     return 0
 
 
@@ -522,27 +497,32 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common_solver_flags(p):
+    def add_segment_flags(p):
+        p.add_argument("input", help="track TSV (snp_id, chrom, pos, logr, baf)")
         p.add_argument("--lambda1", type=float, default=None, help="sparsity penalty (default: sigma_hat)")
         p.add_argument("--lambda2", type=float, default=None, help="fusion penalty (default: 2*sigma_hat*sqrt(ln n))")
         p.add_argument("--split-at", default=None, metavar="CHROM:POS[,...]", help="split chromosomes at these positions (e.g. centromeres)")
         p.add_argument("--output", default=None, help="output path (default stdout)")
 
+    def add_fl_flags(p):
+        p.add_argument("--fdr", type=float, default=sc.DEFAULT_FDR_LEVEL)
+        p.add_argument("--min-snps", type=int, default=sc.DEFAULT_MIN_SNPS)
+        p.add_argument("--tol", type=float, default=fl.DEFAULT_TOL)
+        p.add_argument("--max-iter", type=int, default=fl.DEFAULT_MAX_ITER)
+
+    def add_dpi_flags(p):
+        p.add_argument("--alpha", type=float, default=dpi_mod.DEFAULT_ALPHA)
+        p.add_argument("--mu-init", type=_mu_init, default=dpi_mod.DEFAULT_COPY_LOGR_MEANS, metavar="M0,M1,M2,M3")
+
     p_fl = sub.add_parser("segment-fl", help="fused-lasso segmentation and FDR-controlled calling")
-    p_fl.add_argument("input", help="track TSV (snp_id, chrom, pos, logr, baf)")
-    add_common_solver_flags(p_fl)
-    p_fl.add_argument("--fdr", type=float, default=sc.DEFAULT_FDR_LEVEL)
+    add_segment_flags(p_fl)
+    add_fl_flags(p_fl)
     p_fl.add_argument("--epsilon", type=float, default=DEFAULT_EPSILON)
-    p_fl.add_argument("--tol", type=float, default=fl.DEFAULT_TOL)
-    p_fl.add_argument("--max-iter", type=int, default=fl.DEFAULT_MAX_ITER)
-    p_fl.add_argument("--min-snps", type=int, default=sc.DEFAULT_MIN_SNPS)
     p_fl.set_defaults(func=cmd_segment_fl)
 
     p_dpi = sub.add_parser("segment-dpi", help="dynamic-programming genotype imputation")
-    p_dpi.add_argument("input", help="track TSV (snp_id, chrom, pos, logr, baf)")
-    add_common_solver_flags(p_dpi)
-    p_dpi.add_argument("--alpha", type=float, default=dpi_mod.DEFAULT_ALPHA)
-    p_dpi.add_argument("--mu-init", type=_mu_init, default=dpi_mod.DEFAULT_COPY_LOGR_MEANS, metavar="M0,M1,M2,M3")
+    add_segment_flags(p_dpi)
+    add_dpi_flags(p_dpi)
     p_dpi.add_argument("--max-rounds", type=int, default=dpi_mod.DEFAULT_MAX_ROUNDS)
     p_dpi.add_argument("--segments-out", default=None, help="also write constant-copy segments here")
     p_dpi.set_defaults(func=cmd_segment_dpi)
@@ -568,12 +548,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--cnv-sizes", default="5,10,20,30,40,50")
     p_bench.add_argument("--per-cell", type=int, default=12, help="tracks per sequence length")
     p_bench.add_argument("--seed", type=int, default=0)
-    p_bench.add_argument("--fdr", type=float, default=sc.DEFAULT_FDR_LEVEL)
-    p_bench.add_argument("--min-snps", type=int, default=sc.DEFAULT_MIN_SNPS)
-    p_bench.add_argument("--alpha", type=float, default=dpi_mod.DEFAULT_ALPHA)
-    p_bench.add_argument("--mu-init", type=_mu_init, default=dpi_mod.DEFAULT_COPY_LOGR_MEANS, metavar="M0,M1,M2,M3")
-    p_bench.add_argument("--tol", type=float, default=fl.DEFAULT_TOL)
-    p_bench.add_argument("--max-iter", type=int, default=fl.DEFAULT_MAX_ITER)
+    add_fl_flags(p_bench)
+    add_dpi_flags(p_bench)
     p_bench.add_argument("--output", default=None)
     p_bench.set_defaults(func=cmd_bench)
 

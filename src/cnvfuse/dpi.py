@@ -16,6 +16,7 @@ not an approximation.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -98,16 +99,13 @@ class DpiFit:
 def _stage_columns(track: SnpTrack, model: DpiModel) -> list[np.ndarray]:
     """Per-position stage cost of each copy class, one array per class:
     ``((y - mu_j)**2 + alpha * l2_j) + lambda1 * |mu_j|``, where ``l2_j``
-    is the least BAF loss over the class's genotypes."""
+    is the least BAF loss over the class's genotypes (for copy 0, the
+    integral over Uniform(0, 1))."""
     x = track.baf
-    sq0 = x**2
-    sq1 = (x - 1.0) ** 2
-    l2 = (
-        (x**3 + (1.0 - x) ** 3) / 3.0,
-        np.minimum(sq0, sq1),
-        np.minimum(np.minimum(sq0, (x - 0.5) ** 2), sq1),
-        np.minimum(np.minimum(sq0, (x - 1.0 / 3.0) ** 2), np.minimum((x - 2.0 / 3.0) ** 2, sq1)),
-    )
+    l2 = [(x**3 + (1.0 - x) ** 3) / 3.0] + [
+        functools.reduce(np.minimum, [(x - s.baf_center) ** 2 for s in STATES_BY_COPY[c]])
+        for c in (1, 2, 3)
+    ]
     return [
         ((track.logr - mu) ** 2 + model.alpha * l2_j) + model.lambda1 * abs(mu)
         for mu, l2_j in zip(model.mu, l2)

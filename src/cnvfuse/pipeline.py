@@ -1,9 +1,12 @@
 """The two reconstruction routes, each from one track to its result.
 
-Both estimate sigma from the track's LogR and default an unset lambda
-from sigma and the track length. Library functions are looked up through
-their modules at call time, so that a wrapper installed on a module
-attribute (as perfbench/tracing.py does) sees the call.
+Both default an unset lambda from sigma, estimated from the track's LogR,
+and the track length. The fused-lasso route always estimates sigma (its
+segment test statistics need it); the DP route only when a lambda is
+unset, so a track too short or flat for a sigma estimate still fits with
+both lambdas given. Library functions are looked up through their
+modules at call time, so that a wrapper installed on a module attribute
+(as perfbench/tracing.py does) sees the call.
 """
 
 from __future__ import annotations
@@ -42,7 +45,8 @@ def fit_fused_lasso(
 def fit_dpi(track, lambda1=None, lambda2=None, *, alpha, mu_init, max_rounds) -> dpi.DpiFit:
     """Impute the track's copy numbers by DP, re-estimating the per-copy
     LogR means from ``mu_init``."""
-    _, lambda1, lambda2 = _sigma_and_lambdas(track, lambda1, lambda2)
+    if lambda1 is None or lambda2 is None:
+        _, lambda1, lambda2 = _sigma_and_lambdas(track, lambda1, lambda2)
     model = dpi.DpiModel(mu=mu_init, lambda1=lambda1, lambda2=lambda2, alpha=alpha)
     return dpi.dpi_fit(track, model, max_rounds=max_rounds)
 

@@ -60,8 +60,6 @@ def extract_segments(beta, merge_tol: float) -> list[tuple[int, int]]:
         raise ValueError("beta must be non-empty")
     if not merge_tol > 0:
         raise ValueError("merge_tol must be positive")
-    if beta.size == 1:
-        return [(0, 0)]
     breaks = np.flatnonzero(np.abs(np.diff(beta)) > merge_tol) + 1
     bounds = [0, *breaks.tolist(), beta.size]
     return [(bounds[i], bounds[i + 1] - 1) for i in range(len(bounds) - 1)]

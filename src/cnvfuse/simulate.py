@@ -13,7 +13,7 @@ from __future__ import annotations
 import enum
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, fields
 from typing import Sequence
 
 import numpy as np
@@ -191,19 +191,6 @@ def dataset2_specs(
     return specs
 
 
-REPORT_COLUMNS = (
-    "method",
-    "n",
-    "cnv_size",
-    "cnv_type",
-    "tpr",
-    "fpr",
-    "fdr",
-    "iters_mean",
-    "time_ms_mean",
-)
-
-
 @dataclass
 class BenchRow:
     """One aggregated benchmark cell (method x track shape)."""
@@ -217,16 +204,6 @@ class BenchRow:
     fdr: float
     iters_mean: float
     time_ms_mean: float
-
-
-@dataclass
-class _CellAccumulator:
-    tp: int = 0
-    fp: int = 0
-    fn: int = 0
-    tn: int = 0
-    iters: list = field(default_factory=list)
-    times_ms: list = field(default_factory=list)
 
 
 def run_benchmark(
@@ -251,7 +228,8 @@ def run_benchmark(
         if m not in known:
             raise ValueError(f"unknown method {m!r}; expected one of {sorted(known)}")
 
-    cells: dict[tuple, _CellAccumulator] = {}
+    # (method, n, cnv_size, cnv_type) -> (each track's (TP, FP, FN, TN), iterations, times in ms)
+    cells: dict[tuple, tuple[list, list, list]] = {}
     for spec in specs:
         truth = generate(spec)
         for method in methods:
@@ -277,52 +255,25 @@ def run_benchmark(
                 called, iters = pipeline.called_copies(segments, spec.n), fit.iterations
             elapsed_ms = (time.perf_counter() - t0) * 1000.0
             key = (method, spec.n, spec.cnv_length, spec.cnv_type.value)
-            cell = cells.setdefault(key, _CellAccumulator())
-            tp, fp, fn, tn = confusion_counts(truth.true_copy, called)
-            cell.tp += tp
-            cell.fp += fp
-            cell.fn += fn
-            cell.tn += tn
-            cell.iters.append(iters)
-            cell.times_ms.append(elapsed_ms)
+            counts, iterations, times_ms = cells.setdefault(key, ([], [], []))
+            counts.append(confusion_counts(truth.true_copy, called))
+            iterations.append(iters)
+            times_ms.append(elapsed_ms)
 
-    rows = []
-    for key in sorted(cells, key=lambda k: (k[0], k[1], k[2], k[3])):
-        cell = cells[key]
-        tpr, fpr, fdr = _rates(cell.tp, cell.fp, cell.fn, cell.tn)
-        rows.append(
-            BenchRow(
-                method=key[0],
-                n=key[1],
-                cnv_size=key[2],
-                cnv_type=key[3],
-                tpr=tpr,
-                fpr=fpr,
-                fdr=fdr,
-                iters_mean=float(np.mean(cell.iters)),
-                time_ms_mean=float(np.mean(cell.times_ms)),
-            )
+    return [
+        BenchRow(
+            *key, *_rates(*map(sum, zip(*counts))), float(np.mean(iterations)), float(np.mean(times_ms))
         )
-    return rows
+        for key, (counts, iterations, times_ms) in sorted(cells.items())
+    ]
 
 
 def format_report(rows: Sequence[BenchRow]) -> str:
-    """Render benchmark rows as a TSV table (6 significant digits)."""
-    lines = ["\t".join(REPORT_COLUMNS)]
+    """Render benchmark rows as a TSV table, one column per ``BenchRow``
+    field (floats with 6 significant digits)."""
+    lines = ["\t".join(f.name for f in fields(BenchRow))]
     for r in rows:
         lines.append(
-            "\t".join(
-                [
-                    r.method,
-                    str(r.n),
-                    str(r.cnv_size),
-                    r.cnv_type,
-                    format(r.tpr, ".6g"),
-                    format(r.fpr, ".6g"),
-                    format(r.fdr, ".6g"),
-                    format(r.iters_mean, ".6g"),
-                    format(r.time_ms_mean, ".6g"),
-                ]
-            )
+            "\t".join(format(v, ".6g") if isinstance(v, float) else str(v) for v in astuple(r))
         )
     return "\n".join(lines) + "\n"

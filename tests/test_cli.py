@@ -1,5 +1,6 @@
 """End-to-end tests for the command-line interface."""
 
+import argparse
 import logging
 import math
 import multiprocessing
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 
 from cnvfuse import cli
+from cnvfuse import simulate as sim
 from cnvfuse.cli import TRACK_COLUMNS, main, read_track_file
 from cnvfuse.errors import TrackFormatError
 from cnvfuse.signal_model import SnpTrack
@@ -384,7 +386,39 @@ def test_huge_position_is_a_format_error(tmp_path, monkeypatch, capsys, at, size
     assert not (tmp_path / "out.tsv").exists()
 
 
+def reference_simulate_lines(spec):
+    """The track and truth lines of ``simulate`` for ``spec``, built index
+    by index."""
+    truth = sim.generate(spec)
+    track = truth.track
+
+    def fmt(x):
+        return "nan" if math.isnan(x) else format(x, ".6g")
+
+    lines = ["snp_id\tchrom\tpos\tlogr\tbaf"]
+    tlines = ["snp_id\tchrom\tpos\ttrue_copy\ttrue_genotype"]
+    for i in range(track.n):
+        head = [track.snp_ids[i], spec.chrom, str(int(track.positions[i]))]
+        lines.append("\t".join(head + [fmt(float(track.logr[i])), fmt(float(track.baf[i]))]))
+        tlines.append("\t".join(head + [str(int(truth.true_copy[i])), truth.true_genotype[i].genotype]))
+    return lines, tlines
+
+
 class TestSimulateCommand:
+    @pytest.mark.parametrize(
+        "cnv_type, chrom, seed", [("del0", "1", 1), ("del1", "chr7", 2), ("dup", "X", 3)]
+    )
+    def test_output_matches_reference_writer(self, tmp_path, cnv_type, chrom, seed):
+        track_path, truth_path = tmp_path / "t.tsv", tmp_path / "truth.tsv"
+        assert run_cli([
+            "simulate", "--n", "300", "--cnv-length", "40", "--cnv-type", cnv_type,
+            "--seed", seed, "--chrom", chrom, "--output", track_path, "--truth-output", truth_path,
+        ]) == 0
+        spec = sim.SimSpec(n=300, cnv_length=40, cnv_type=sim.CnvType(cnv_type), seed=seed, chrom=chrom)
+        lines, tlines = reference_simulate_lines(spec)
+        assert track_path.read_text() == "\n".join(lines) + "\n"
+        assert truth_path.read_text() == "\n".join(tlines) + "\n"
+
     def test_deterministic_replay(self, tmp_path):
         p1 = simulate_track(tmp_path, "a.tsv", n=400, cnv_length=30, seed=9)
         p2 = simulate_track(tmp_path, "b.tsv", n=400, cnv_length=30, seed=9)
@@ -506,6 +540,78 @@ def test_split_at_unknown_chromosomes_warned(tmp_path, caplog, route):
     warnings = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
     assert len(warnings) == 1
     assert warnings[0].endswith("absent from the input: X, 7")
+
+
+def reference_pieces(positions, cuts):
+    """Positions of the pieces a chromosome is cut into: a piece starts at
+    each SNP with some cut in (previous position, its position]."""
+    pieces = [[positions[0]]]
+    for prev, p in zip(positions, positions[1:]):
+        if any(prev < c <= p for c in cuts):
+            pieces.append([])
+        pieces[-1].append(p)
+    return pieces
+
+
+@pytest.mark.parametrize(
+    "split_at",
+    [
+        "1:700,1:300",  # unsorted
+        "1:300,2:250,1:300,1:300",  # duplicates
+        "1:100,1:50,1:0",  # at and before the first position
+        "1:1201,1:99999,1:1200",  # past the last position, and at it
+        "1:301,1:350,1:399,1:400",  # several cuts between one pair of SNPs
+        "2:9999,1:1200,1:50,1:650,1:601,2:51, ,1:1",
+    ],
+)
+def test_split_at_pieces(tmp_path, split_at):
+    path = tmp_path / "trk.tsv"
+    path.write_text(HEADER + rows("1", 100, 12) + rows("2", 50, 8))
+    cuts = {}
+    for item in filter(None, (i.strip() for i in split_at.split(","))):
+        chrom, pos = item.split(":")
+        cuts.setdefault(chrom, []).append(int(pos))
+    want = [
+        (chrom, piece)
+        for chrom, track in read_track_file(path)
+        for piece in reference_pieces(track.positions.tolist(), cuts.get(chrom, []))
+    ]
+    pieces = cli._sequences(argparse.Namespace(input=path, split_at=split_at))
+    assert [(chrom, track.positions.tolist()) for chrom, track in pieces] == want
+    ids = [sid for _, track in pieces for sid in track.snp_ids]
+    assert ids == [sid for _, track in read_track_file(path) for sid in track.snp_ids]
+
+
+@pytest.mark.parametrize("route", ["segment-fl", "segment-dpi"])
+@pytest.mark.parametrize("entry", ["1:abc", "1:", "1:5.0", ":5", "abc"])
+def test_bad_split_at_entry_is_named(tmp_path, capsys, route, entry):
+    # the input is malformed too: the flag is checked before the file is read
+    path = tmp_path / "trk.tsv"
+    path.write_text(HEADER + rows("1", 100, 3) + "r\t1\t9x\t0.1\t0.5\n")
+    out = tmp_path / "out.tsv"
+    assert run_cli([route, path, "--split-at", f"1:500,{entry}", "--output", out]) == 1
+    assert capsys.readouterr().err == (
+        f"cnvfuse: error: --split-at entries must look like chrom:pos, got {entry!r}\n"
+    )
+    assert not out.exists()
+
+
+def test_segment_dpi_with_both_lambdas_fits_short_chromosomes(tmp_path, capsys):
+    long = simulate_track(tmp_path, "long.tsv", n=300, cnv_length=30, seed=25)
+    short = simulate_track(tmp_path, "short.tsv", n=30, cnv_length=0, seed=26, chrom=2)
+    merged = tmp_path / "merged.tsv"
+    merged.write_text(
+        long.read_text() + "".join(short.read_text().splitlines(True)[1:])
+        + "a\t3\t5\t0.01\t0.5\nb\t4\t5\t-0.7\t0.02\nc\t4\t9\t-0.6\t0.97\n"
+    )
+    out = tmp_path / "out.tsv"
+    assert run_cli(["segment-dpi", merged, "--lambda1", "0.2", "--lambda2", "0.8", "--output", out]) == 0
+    assert capsys.readouterr().err == ""
+    lines = out.read_text().splitlines()
+    assert len(lines) == 1 + 300 + 30 + 3
+    assert [line.split("\t")[1:] for line in lines[-3:]] == [
+        ["3", "5", "AB", "2"], ["4", "5", "A", "1"], ["4", "9", "B", "1"],
+    ]
 
 
 @pytest.mark.parametrize("route", ["segment-fl", "segment-dpi"])
@@ -693,6 +799,27 @@ class TestSegmentDpi:
                 detected += sum(r[4] != "2" for r in rows[445:455])
             hits[alpha] = detected
         assert hits["12"] >= hits["0"]
+
+
+def test_subcommand_flags():
+    sub = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    flags = {
+        name: {s for a in p._actions for s in a.option_strings} - {"-h", "--help"}
+        for name, p in sub.choices.items()
+    }
+    segment = {"--lambda1", "--lambda2", "--split-at", "--output"}
+    fl_flags = {"--fdr", "--min-snps", "--tol", "--max-iter"}
+    dpi_flags = {"--alpha", "--mu-init"}
+    assert flags == {
+        "segment-fl": segment | fl_flags | {"--epsilon"},
+        "segment-dpi": segment | dpi_flags | {"--max-rounds", "--segments-out"},
+        "simulate": {
+            "--n", "--cnv-length", "--cnv-type", "--cnv-start", "--sigma-logr", "--sigma-baf",
+            "--maf", "--mu-truth", "--seed", "--chrom", "--output", "--truth-output",
+        },
+        "bench": fl_flags | dpi_flags
+        | {"--methods", "--lengths", "--cnv-sizes", "--per-cell", "--seed", "--output"},
+    }
 
 
 class TestBench:

@@ -20,6 +20,7 @@ from cnvfuse.dpi import (
     DpiModel,
     StatePath,
     _min_plus_path,
+    _stage_columns,
     dp_impute,
     dpi_fit,
     reestimate_mu,
@@ -230,6 +231,36 @@ class TestLosses:
                     loss_baf_10(x, s) for s in TEN_STATES if s.copy_number == c
                 )
                 assert loss_baf_4(x, c) == pytest.approx(per_state, rel=1e-12)
+
+
+def literal_stage_columns(track, model):
+    """The stage columns with each copy class's BAF centres written out."""
+    x = track.baf
+    sq0 = x**2
+    sq1 = (x - 1.0) ** 2
+    l2 = (
+        (x**3 + (1.0 - x) ** 3) / 3.0,
+        np.minimum(sq0, sq1),
+        np.minimum(np.minimum(sq0, (x - 0.5) ** 2), sq1),
+        np.minimum(np.minimum(sq0, (x - 1.0 / 3.0) ** 2), np.minimum((x - 2.0 / 3.0) ** 2, sq1)),
+    )
+    return [
+        ((track.logr - mu) ** 2 + model.alpha * l2_j) + model.lambda1 * abs(mu)
+        for mu, l2_j in zip(model.mu, l2)
+    ]
+
+
+def test_stage_columns_match_the_literal_centres():
+    rng = np.random.default_rng(47)
+    centres = [0.0, 1.0, 0.5, 1.0 / 3.0, 2.0 / 3.0]
+    for _ in range(50):
+        n = int(rng.integers(1, 300))
+        baf = np.where(rng.random(n) < 0.5, rng.choice(centres, n), rng.uniform(0, 1, n))
+        track = make_track(rng.normal(0, 1, n), baf)
+        model = random_model(rng)
+        got = _stage_columns(track, model)
+        want = literal_stage_columns(track, model)
+        assert [c.tobytes() for c in got] == [c.tobytes() for c in want]
 
 
 class TestDpImpute:

@@ -14,9 +14,10 @@ import cnvfuse
 from cnvfuse import cli
 from cnvfuse import dpi as dpi_mod
 from cnvfuse import segment_caller as sc
+from cnvfuse.errors import DegenerateSignal, TooFewSnps
 from cnvfuse.fused_lasso import DEFAULT_MAX_ITER, DEFAULT_TOL, BetaFit, solve_mm_block
 from cnvfuse.pipeline import called_copies, fit_dpi, fit_fused_lasso
-from cnvfuse.signal_model import DEFAULT_EPSILON, default_lambdas, estimate_sigma
+from cnvfuse.signal_model import DEFAULT_EPSILON, SnpTrack, default_lambdas, estimate_sigma
 from cnvfuse.simulate import CnvType, SimSpec, dataset2_specs, generate
 
 FL_PARAMS = dict(
@@ -78,6 +79,28 @@ def test_unset_lambdas_default_from_sigma_and_n():
         _, fit, _ = fit_fused_lasso(track, lam1, lam2, **FL_PARAMS)
         _, ref, _ = fit_fused_lasso(track, *want, **FL_PARAMS)
         assert fit.beta.tobytes() == ref.beta.tobytes()
+
+
+@pytest.mark.parametrize(
+    "logr, baf, unfit",
+    [
+        ([0.0] * 100, [0.5] * 100, DegenerateSignal),
+        ([-0.6], [0.02], TooFewSnps),
+        ([0.01, -0.7], [0.5, 0.98], TooFewSnps),
+    ],
+)
+def test_fit_dpi_with_both_lambdas_needs_no_sigma(logr, baf, unfit):
+    track = SnpTrack.from_values(logr=logr, baf=baf)
+    with pytest.raises(unfit):
+        estimate_sigma(track)
+    fit = fit_dpi(track, 0.2, 0.8, **DPI_PARAMS)
+    model = dpi_mod.DpiModel(DPI_PARAMS["mu_init"], 0.2, 0.8, alpha=DPI_PARAMS["alpha"])
+    ref = dpi_mod.dpi_fit(track, model, max_rounds=DPI_PARAMS["max_rounds"])
+    assert fit.path.states == ref.path.states
+    assert fit.path.objective == ref.path.objective
+    # an unset lambda still needs sigma
+    with pytest.raises(unfit):
+        fit_dpi(track, 0.2, None, **DPI_PARAMS)
 
 
 def _track_file(tmp_path, chroms=("1", "2")):

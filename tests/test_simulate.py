@@ -9,6 +9,7 @@ import pytest
 from scipy import stats
 
 from cnvfuse.simulate import (
+    BenchRow,
     CnvType,
     SimSpec,
     dataset1_specs,
@@ -198,6 +199,19 @@ class TestRunBenchmark:
             "tpr", "fpr", "fdr", "iters_mean", "time_ms_mean",
         ]
         assert report.count("\n") == len(rows) + 1
+
+    def test_report_renders_rows_exactly(self):
+        rows = [
+            BenchRow("dpi", 600, 10, "del1", 1.0, 0.0, math.nan, 1.0, 12.3456789),
+            BenchRow("fused_lasso", 1234567, 5, "dup", 0.123456789, 1e-7, 0.25, 31.5, 1234567.0),
+            BenchRow("mmb", 40, 50, "del1", 0.5, np.float64(2 / 3), np.float64("nan"), 9999999.0, 0.0),
+        ]
+        assert format_report(rows) == (
+            "method\tn\tcnv_size\tcnv_type\ttpr\tfpr\tfdr\titers_mean\ttime_ms_mean\n"
+            "dpi\t600\t10\tdel1\t1\t0\tnan\t1\t12.3457\n"
+            "fused_lasso\t1234567\t5\tdup\t0.123457\t1e-07\t0.25\t31.5\t1.23457e+06\n"
+            "mmb\t40\t50\tdel1\t0.5\t0.666667\tnan\t1e+07\t0\n"
+        )
 
     def test_dpi_detects_planted_cnvs_in_mini_corpus(self):
         specs = dataset1_specs(count=6, n=2000, cnv_sizes=(30, 50), seed=13)
