@@ -11,6 +11,8 @@ flags produce byte-identical outputs.
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import inspect
 import logging
 import operator
 import os
@@ -402,13 +404,6 @@ def _write_lines(path, lines):
             out.write(text)
 
 
-def _mu_init(text: str) -> tuple[float, float, float, float]:
-    parts = [float(p) for p in text.split(",")]
-    if len(parts) != 4:
-        raise ValueError("--mu-init needs four comma-separated values m0,m1,m2,m3")
-    return tuple(parts)
-
-
 def cmd_segment_fl(args) -> int:
     lines = ["\t".join(["chrom", "start_pos", "end_pos", "n_snps", "mean_beta", "z", "p", "call"])]
     for chrom, track, (rows, converged) in _fits(args, _fl_rows, parallel=True):
@@ -434,18 +429,7 @@ def cmd_segment_dpi(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    spec = sim.SimSpec(
-        n=args.n,
-        cnv_length=args.cnv_length,
-        cnv_type=sim.CnvType(args.cnv_type),
-        cnv_start=None if args.cnv_start == "center" else int(args.cnv_start),
-        sigma_logr=args.sigma_logr,
-        sigma_baf=args.sigma_baf,
-        maf=args.maf,
-        mu_truth=args.mu_truth,
-        seed=args.seed,
-        chrom=args.chrom,
-    )
+    spec = sim.SimSpec(**{f.name: getattr(args, f.name) for f in dataclasses.fields(sim.SimSpec) if f.name in args})
     truth = sim.generate(spec)
     track = truth.track
     # the snp_id, chrom and pos columns, which both files start with
@@ -468,17 +452,14 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    methods = [m.strip() for m in args.methods.split(",") if m.strip()]
-    lengths = [int(v) for v in args.lengths.split(",") if v.strip()]
-    sizes = [int(v) for v in args.cnv_sizes.split(",") if v.strip()]
-    specs = []
-    for n in lengths:
-        specs.extend(
-            sim.dataset1_specs(count=args.per_cell, n=n, cnv_sizes=sizes, seed=args.seed)
-        )
+    specs = [
+        spec
+        for n in args.lengths
+        for spec in sim.dataset1_specs(count=args.per_cell, n=n, cnv_sizes=args.cnv_sizes, seed=args.seed)
+    ]
     rows = sim.run_benchmark(
         specs,
-        methods=methods,
+        methods=args.methods,
         fdr_level=args.fdr,
         min_snps=args.min_snps,
         alpha=args.alpha,
@@ -488,6 +469,32 @@ def cmd_bench(args) -> int:
     )
     _write_lines(args.output, sim.format_report(rows).splitlines())
     return 0
+
+
+def _comma_list(convert, count=None):
+    """An argparse ``type`` that reads a comma-separated list into a tuple
+    of ``convert``ed entries, skipping empty ones; with ``count``, exactly
+    that many entries."""
+
+    def parse(text: str) -> tuple:
+        entries = [entry.strip() for entry in text.split(",") if entry.strip()]
+        if count is not None and len(entries) != count:
+            raise argparse.ArgumentTypeError(f"expected {count} comma-separated values, got {text!r}")
+        return tuple(map(_entry(convert, f"{convert.__name__} entries"), entries))
+
+    return parse
+
+
+def _entry(convert, expected: str):
+    """An argparse ``type`` that reads one value with ``convert``."""
+
+    def parse(text: str):
+        try:
+            return convert(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}") from None
+
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -512,7 +519,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_dpi_flags(p):
         p.add_argument("--alpha", type=float, default=dpi_mod.DEFAULT_ALPHA)
-        p.add_argument("--mu-init", type=_mu_init, default=dpi_mod.DEFAULT_COPY_LOGR_MEANS, metavar="M0,M1,M2,M3")
+        p.add_argument("--mu-init", type=_comma_list(float, 4), default=dpi_mod.DEFAULT_COPY_LOGR_MEANS, metavar="M0,M1,M2,M3")
 
     p_fl = sub.add_parser("segment-fl", help="fused-lasso segmentation and FDR-controlled calling")
     add_segment_flags(p_fl)
@@ -527,27 +534,29 @@ def build_parser() -> argparse.ArgumentParser:
     p_dpi.add_argument("--segments-out", default=None, help="also write constant-copy segments here")
     p_dpi.set_defaults(func=cmd_segment_dpi)
 
-    p_sim = sub.add_parser("simulate", help="generate a synthetic LogR/BAF track")
-    p_sim.add_argument("--n", type=int, default=13000)
-    p_sim.add_argument("--cnv-length", type=int, default=50)
-    p_sim.add_argument("--cnv-type", choices=[t.value for t in sim.CnvType], default="del1")
-    p_sim.add_argument("--cnv-start", default="center", help="0-based start index or 'center'")
-    p_sim.add_argument("--sigma-logr", type=float, default=0.2)
-    p_sim.add_argument("--sigma-baf", type=float, default=0.03)
-    p_sim.add_argument("--maf", type=float, default=0.3)
-    p_sim.add_argument("--mu-truth", type=_mu_init, default=dpi_mod.DEFAULT_COPY_LOGR_MEANS, metavar="M0,M1,M2,M3")
-    p_sim.add_argument("--seed", type=int, default=0)
-    p_sim.add_argument("--chrom", default="1")
+    # the flags left out take SimSpec's defaults (see cmd_simulate)
+    p_sim = sub.add_parser("simulate", help="generate a synthetic LogR/BAF track", argument_default=argparse.SUPPRESS)
+    p_sim.add_argument("--n", type=int)
+    p_sim.add_argument("--cnv-length", type=int)
+    p_sim.add_argument("--cnv-type", choices=[t.value for t in sim.CnvType])
+    p_sim.add_argument("--cnv-start", type=_entry(lambda t: None if t == "center" else int(t), "an int or 'center'"), help="0-based start index or 'center'")
+    p_sim.add_argument("--sigma-logr", type=float)
+    p_sim.add_argument("--sigma-baf", type=float)
+    p_sim.add_argument("--maf", type=float)
+    p_sim.add_argument("--mu-truth", type=_comma_list(float, 4), metavar="M0,M1,M2,M3")
+    p_sim.add_argument("--seed", type=int)
+    p_sim.add_argument("--chrom")
     p_sim.add_argument("--output", default=None)
     p_sim.add_argument("--truth-output", default=None)
     p_sim.set_defaults(func=cmd_simulate)
 
     p_bench = sub.add_parser("bench", help="simulate a corpus and benchmark the methods")
-    p_bench.add_argument("--methods", default="fused_lasso,dpi", help="comma-separated: fused_lasso, dpi, mmb (block-relaxation baseline)")
-    p_bench.add_argument("--lengths", default="13000", help="comma-separated sequence lengths")
-    p_bench.add_argument("--cnv-sizes", default="5,10,20,30,40,50")
+    corpus = inspect.signature(sim.dataset1_specs).parameters
+    p_bench.add_argument("--methods", type=_comma_list(str), default=("fused_lasso", "dpi"), help="comma-separated: fused_lasso, dpi, mmb (block-relaxation baseline)")
+    p_bench.add_argument("--lengths", type=_comma_list(int), default=(corpus["n"].default,), help="comma-separated sequence lengths")
+    p_bench.add_argument("--cnv-sizes", type=_comma_list(int), default=corpus["cnv_sizes"].default)
     p_bench.add_argument("--per-cell", type=int, default=12, help="tracks per sequence length")
-    p_bench.add_argument("--seed", type=int, default=0)
+    p_bench.add_argument("--seed", type=int, default=corpus["seed"].default)
     add_fl_flags(p_bench)
     add_dpi_flags(p_bench)
     p_bench.add_argument("--output", default=None)

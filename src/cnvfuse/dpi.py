@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import NonFiniteInput
-from .signal_model import CopyState, SnpTrack, STATES_BY_COPY, _median
+from .signal_model import STATE_ARRAY, STATES_BY_COPY, CopyState, SnpTrack, _median, state_index
 
 #: default per-copy LogR means for Illumina-style arrays (copy 0..3)
 DEFAULT_COPY_LOGR_MEANS = (-5.5923, -0.6313, -0.0045, 0.3252)
@@ -33,18 +33,6 @@ DEFAULT_MAX_ROUNDS = 20
 
 #: groups smaller than this keep their previous mean during re-estimation
 MIN_GROUP_FOR_UPDATE = 5
-
-#: state for code copy_number * 4 + genotype index within the copy class, as
-#: an object array so that one take maps a whole path of codes
-_STATE_BY_CODE = np.array(
-    [
-        STATES_BY_COPY[c][k] if k < len(STATES_BY_COPY[c]) else None
-        for c in range(4)
-        for k in range(4)
-    ],
-    dtype=object,
-)
-
 
 @dataclass(frozen=True)
 class DpiModel:
@@ -313,8 +301,7 @@ def dp_impute(track: SnpTrack, model: DpiModel) -> StatePath:
     pen = [[model.lambda2 * abs(mu[j] - mu[k]) for j in range(4)] for k in range(4)]
     objective, path = _min_plus_path(_stage_columns(track, model), pen)
     copy_numbers = np.array(path, dtype=np.int64)
-    codes = copy_numbers * 4 + _genotypes(track.baf, copy_numbers)
-    states = tuple(_STATE_BY_CODE[codes].tolist())
+    states = tuple(STATE_ARRAY[state_index(copy_numbers, _genotypes(track.baf, copy_numbers))].tolist())
     return StatePath(states=states, objective=objective, copy_numbers=copy_numbers)
 
 

@@ -163,6 +163,19 @@ STATES_BY_COPY: dict[int, tuple[CopyState, ...]] = {
     c: tuple(s for s in TEN_STATES if s.copy_number == c) for c in range(4)
 }
 
+#: TEN_STATES as an array, and their BAF centers with 0.0 for phi, for
+#: lookups by ``state_index``
+STATE_ARRAY = np.array(TEN_STATES, dtype=object)
+BAF_CENTERS = np.array([s.baf_center or 0.0 for s in TEN_STATES])
+
+
+def state_index(copy_numbers, b_alleles) -> np.ndarray:
+    """Index in TEN_STATES of the genotype with each copy number c and
+    count k of B alleles, STATES_BY_COPY[c][k]: the table's order puts the
+    states of copy c from index c * (c + 1) // 2 = 0, 1, 3, 6 on."""
+    c = np.asarray(copy_numbers)
+    return c * (c + 1) // 2 + b_alleles
+
 
 def _percentiles(values: np.ndarray, q) -> np.ndarray:
     """``np.percentile(values, q)`` of a 1-D float64 array, for percentiles

@@ -22,7 +22,7 @@ from . import dpi as dpi_mod
 from . import fused_lasso as fl
 from . import pipeline
 from . import segment_caller as sc
-from .signal_model import DEFAULT_EPSILON, STATES_BY_COPY, CopyState, SnpTrack
+from .signal_model import BAF_CENTERS, DEFAULT_EPSILON, STATE_ARRAY, CopyState, SnpTrack, state_index
 
 
 class CnvType(enum.Enum):
@@ -39,10 +39,10 @@ class CnvType(enum.Enum):
 class SimSpec:
     """Recipe for one simulated track.
 
-    cnv_start of None centers the variant; sigma defaults are calibrated
-    stand-ins (the real arrays' noise levels are not public) and may be
-    set to 0 for noiseless tracks. maf is the B-allele population
-    frequency used to draw genotypes.
+    cnv_type may also be given as its value ("del1"); cnv_start of None
+    centers the variant; sigma defaults are calibrated stand-ins (the real
+    arrays' noise levels are not public) and may be set to 0 for noiseless
+    tracks. maf is the B-allele population frequency used to draw genotypes.
     """
 
     n: int = 13000
@@ -57,6 +57,7 @@ class SimSpec:
     chrom: str = "1"
 
     def __post_init__(self):
+        object.__setattr__(self, "cnv_type", CnvType(self.cnv_type))
         if self.n < 1:
             raise ValueError("n must be positive")
         if not 0 <= self.cnv_length <= self.n:
@@ -101,26 +102,14 @@ class TruthTrack:
 def generate(spec: SimSpec) -> TruthTrack:
     """Draw one track. Deterministic given the spec (including its seed)."""
     rng = np.random.default_rng(spec.seed)
-    n = spec.n
-    copy = np.full(n, 2, dtype=np.int64)
-    if spec.cnv_length:
-        start = spec.start_index
-        copy[start : start + spec.cnv_length] = spec.cnv_type.copy_number
-
-    n_b = rng.binomial(copy, spec.maf)
-    genotype = tuple(STATES_BY_COPY[c][k] for c, k in zip(copy.tolist(), n_b.tolist()))
-
-    mu = np.asarray(spec.mu_truth)
-    logr = rng.normal(mu[copy], spec.sigma_logr)
-
-    centers = np.where(copy > 0, n_b / np.maximum(copy, 1), 0.0)
-    baf = rng.normal(centers, spec.sigma_baf)
-    uniform = rng.uniform(0.0, 1.0, size=n)
-    baf = np.where(copy == 0, uniform, baf)
-    baf = np.clip(baf, 0.0, 1.0)
-
+    copy = np.full(spec.n, 2, dtype=np.int64)
+    copy[spec.start_index : spec.start_index + spec.cnv_length] = spec.cnv_type.copy_number
+    state = state_index(copy, rng.binomial(copy, spec.maf))
+    logr = rng.normal(np.asarray(spec.mu_truth)[copy], spec.sigma_logr)
+    baf = rng.normal(BAF_CENTERS[state], spec.sigma_baf)
+    baf = np.clip(np.where(copy == 0, rng.uniform(0.0, 1.0, size=spec.n), baf), 0.0, 1.0)
     track = SnpTrack.from_values(logr=logr, baf=baf)
-    return TruthTrack(track=track, true_copy=copy, true_genotype=genotype)
+    return TruthTrack(track=track, true_copy=copy, true_genotype=STATE_ARRAY[state].tolist())
 
 
 def score(true_copy, called_copy) -> tuple[float, float, float]:
@@ -155,10 +144,14 @@ def confusion_counts(true_copy, called_copy) -> tuple[int, int, int, int]:
     return tp, fp, fn, tn
 
 
+#: CNV sizes of both datasets' corpora
+CNV_SIZES = (5, 10, 20, 30, 40, 50)
+
+
 def dataset1_specs(
     count: int = 3600,
-    n: int = 13000,
-    cnv_sizes: Sequence[int] = (5, 10, 20, 30, 40, 50),
+    n: int = SimSpec.n,
+    cnv_sizes: Sequence[int] = CNV_SIZES,
     seed: int = 0,
 ) -> list[SimSpec]:
     """Corpus of fixed-length tracks with a centered CNV.
@@ -173,22 +166,20 @@ def dataset1_specs(
 def dataset2_specs(
     count: int = 300,
     lengths: Sequence[int] = (4000, 8000, 12000, 16000, 20000),
-    cnv_sizes: Sequence[int] = (5, 10, 20, 30, 40, 50),
+    cnv_sizes: Sequence[int] = CNV_SIZES,
     seed: int = 1,
 ) -> list[SimSpec]:
     """Corpus of variable-length tracks with a centered CNV."""
     child_seeds = np.random.SeedSequence(seed).generate_state(max(count, 1), np.uint64)
-    specs = []
-    for i in range(count):
-        specs.append(
-            SimSpec(
-                n=lengths[(i // 2) % len(lengths)],
-                cnv_length=cnv_sizes[(i // 2) % len(cnv_sizes)],
-                cnv_type=CnvType.DELETION1 if i % 2 == 0 else CnvType.DUPLICATION,
-                seed=int(child_seeds[i]),
-            )
+    return [
+        SimSpec(
+            n=lengths[(i // 2) % len(lengths)],
+            cnv_length=cnv_sizes[(i // 2) % len(cnv_sizes)],
+            cnv_type=CnvType.DELETION1 if i % 2 == 0 else CnvType.DUPLICATION,
+            seed=int(child_seeds[i]),
         )
-    return specs
+        for i in range(count)
+    ]
 
 
 @dataclass
@@ -271,9 +262,7 @@ def run_benchmark(
 def format_report(rows: Sequence[BenchRow]) -> str:
     """Render benchmark rows as a TSV table, one column per ``BenchRow``
     field (floats with 6 significant digits)."""
-    lines = ["\t".join(f.name for f in fields(BenchRow))]
-    for r in rows:
-        lines.append(
-            "\t".join(format(v, ".6g") if isinstance(v, float) else str(v) for v in astuple(r))
-        )
+    lines = ["\t".join(f.name for f in fields(BenchRow))] + [
+        "\t".join(format(v, ".6g") if isinstance(v, float) else str(v) for v in astuple(r)) for r in rows
+    ]
     return "\n".join(lines) + "\n"

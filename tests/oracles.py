@@ -1,12 +1,15 @@
 """Reference helpers the tests check the library against.
 
 None of these runs in a CLI or library route: the fused-lasso gradient
-and the soft-thresholding identity (acceptance criteria 1 and 5), and the
-per-state losses and path re-evaluation of the discrete objective
-(criterion 6 and tests/test_dpi.py).
+and the soft-thresholding identity (acceptance criteria 1 and 5), the
+exact solution of the non-smoothed fused-lasso criterion
+(tests/test_fused_lasso.py), and the per-state losses and path
+re-evaluation of the discrete objective (criterion 6 and
+tests/test_dpi.py).
 """
 
 import numpy as np
+from scipy.optimize import lsq_linear
 
 from cnvfuse.dpi import DpiModel
 from cnvfuse.fused_lasso import smooth_abs, solve_mm_tdm
@@ -52,6 +55,32 @@ def soft_threshold_check(
     b0 = fit0.beta
     thresholded = np.sign(b0) * np.maximum(np.abs(b0) - lambda1, 0.0)
     return float(np.max(np.abs(thresholded - fit1.beta)))
+
+
+def exact_fused_lasso(y, lambda1: float, lambda2: float) -> np.ndarray:
+    """Exact minimizer of the non-smoothed criterion
+    0.5*||y - b||^2 + lambda1*sum|b_i| + lambda2*sum|b_i+1 - b_i|.
+
+    First the lambda1 = 0 problem (total-variation denoising) through its
+    dual, the box-constrained least-squares problem
+    min ||y - D'z||^2 with |z_i| <= lambda2, D the difference matrix,
+    solved by bounded-variable least squares: b0 = y - D'z. Then
+    soft-thresholding b0 by lambda1 gives the solution (Friedman et al.
+    2007), the identity that acceptance criterion 5 checks on the solver.
+    """
+    y = np.asarray(y, dtype=np.float64)
+    b0 = y.copy()
+    if y.size > 1:
+        dt = np.diff(np.eye(y.size), axis=0).T
+        b0 -= dt @ lsq_linear(dt, y, bounds=(-lambda2, lambda2), method="bvls", tol=1e-14).x
+    return np.sign(b0) * np.maximum(np.abs(b0) - lambda1, 0.0)
+
+
+def exact_objective(beta, y, lambda1: float, lambda2: float) -> float:
+    """Value of the non-smoothed fused-lasso criterion at ``beta``."""
+    beta = np.asarray(beta, dtype=np.float64)
+    r = np.asarray(y, dtype=np.float64) - beta
+    return 0.5 * float(r @ r) + lambda1 * float(np.sum(np.abs(beta))) + lambda2 * float(np.sum(np.abs(np.diff(beta))))
 
 
 def loss_logr(y: float, state: CopyState, model: DpiModel) -> float:

@@ -406,15 +406,34 @@ def reference_simulate_lines(spec):
 
 class TestSimulateCommand:
     @pytest.mark.parametrize(
-        "cnv_type, chrom, seed", [("del0", "1", 1), ("del1", "chr7", 2), ("dup", "X", 3)]
+        "flags, spec",
+        [
+            *(
+                (
+                    ["--n", 300, "--cnv-length", 40, "--cnv-type", t, "--seed", seed, "--chrom", chrom],
+                    sim.SimSpec(n=300, cnv_length=40, cnv_type=sim.CnvType(t), seed=seed, chrom=chrom),
+                )
+                for t, chrom, seed in [("del0", "1", 1), ("del1", "chr7", 2), ("dup", "X", 3)]
+            ),
+            (
+                [
+                    "--n", 500, "--cnv-length", 30, "--cnv-type", "dup", "--cnv-start", 17,
+                    "--sigma-logr", 0.15, "--sigma-baf", 0.05, "--maf", 0.25,
+                    "--mu-truth=-5,-0.5,0.01,0.4", "--seed", 8, "--chrom", "Y",
+                ],
+                sim.SimSpec(
+                    n=500, cnv_length=30, cnv_type=sim.CnvType.DUPLICATION, cnv_start=17,
+                    sigma_logr=0.15, sigma_baf=0.05, maf=0.25, mu_truth=(-5, -0.5, 0.01, 0.4),
+                    seed=8, chrom="Y",
+                ),
+            ),
+            ([], sim.SimSpec()),
+        ],
+        ids=["del0-1-1", "del1-chr7-2", "dup-X-3", "every-flag", "no-flag"],
     )
-    def test_output_matches_reference_writer(self, tmp_path, cnv_type, chrom, seed):
+    def test_output_matches_reference_writer(self, tmp_path, flags, spec):
         track_path, truth_path = tmp_path / "t.tsv", tmp_path / "truth.tsv"
-        assert run_cli([
-            "simulate", "--n", "300", "--cnv-length", "40", "--cnv-type", cnv_type,
-            "--seed", seed, "--chrom", chrom, "--output", track_path, "--truth-output", truth_path,
-        ]) == 0
-        spec = sim.SimSpec(n=300, cnv_length=40, cnv_type=sim.CnvType(cnv_type), seed=seed, chrom=chrom)
+        assert run_cli(["simulate", *flags, "--output", track_path, "--truth-output", truth_path]) == 0
         lines, tlines = reference_simulate_lines(spec)
         assert track_path.read_text() == "\n".join(lines) + "\n"
         assert truth_path.read_text() == "\n".join(tlines) + "\n"
@@ -593,6 +612,28 @@ def test_bad_split_at_entry_is_named(tmp_path, capsys, route, entry):
     assert capsys.readouterr().err == (
         f"cnvfuse: error: --split-at entries must look like chrom:pos, got {entry!r}\n"
     )
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, flag, entry",
+    [
+        (["bench", "--lengths", "400,abc"], "--lengths", "abc"),
+        (["bench", "--cnv-sizes", "5,x"], "--cnv-sizes", "x"),
+        (["simulate", "--cnv-start", "abc"], "--cnv-start", "abc"),
+        (["simulate", "--mu-truth", "1,2"], "--mu-truth", "1,2"),
+        (["segment-dpi", "{input}", "--mu-init", "1,2,3,x"], "--mu-init", "x"),
+    ],
+)
+def test_bad_list_flag_entry_is_a_usage_error(tmp_path, capsys, argv, flag, entry):
+    out = tmp_path / "out.tsv"
+    argv = [a.format(input=simulate_track(tmp_path, n=300)) for a in argv]
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        run_cli([*argv, "--output", out])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"error: argument {flag}: " in err and repr(entry) in err
     assert not out.exists()
 
 

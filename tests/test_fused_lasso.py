@@ -23,7 +23,7 @@ from cnvfuse.fused_lasso import (
 from cnvfuse.signal_model import TuningConstants
 from cnvfuse.simulate import CnvType, SimSpec, generate
 
-from oracles import gradient, soft_threshold_check
+from oracles import exact_fused_lasso, exact_objective, gradient, soft_threshold_check
 
 
 def dense_matrix(system):
@@ -458,3 +458,57 @@ class TestSoftThresholdCheck:
         y = np.repeat([0.0, 1.5, 0.0], 30) + rng.normal(0, 0.1, 90)
         disc = soft_threshold_check(y, lambda1=1e-6, lambda2=0.8, tol=1e-11)
         assert disc <= 1e-4
+
+
+def random_fused_lasso_instance(rng):
+    """(y, lambda1, lambda2): 20-120 values on four random levels plus
+    N(0, 1) noise, lambda1 in [0.05, 1] and lambda2 in [0.2, 3]."""
+    n = int(rng.integers(20, 121))
+    y = np.repeat(rng.normal(0, 2, 4), -(-n // 4))[:n] + rng.normal(0, 1, n)
+    return y, float(rng.uniform(0.05, 1.0)), float(rng.uniform(0.2, 3.0))
+
+
+class TestExactOracle:
+    """``solve_mm_tdm`` against the exact solution of the non-smoothed
+    criterion, on 100 random instances, solved deeply (tol=1e-13) and at
+    the default settings.
+
+    Over 1000 instances (seeds 0-9, 100 each, seed 0 being the one used
+    here) the deep solve came within 4.4e-4 of the oracle in max-norm and
+    the default solve within 6.6e-2, and MM's objective stayed at least
+    2.5e-6 above the oracle's; the bounds below are about twice those
+    distances."""
+
+    DEEP_BOUND = 9e-4
+    DEFAULT_BOUND = 0.13
+
+    @pytest.fixture(scope="class")
+    def solutions(self):
+        rng = np.random.default_rng(0)
+        out = []
+        for _ in range(100):
+            y, lam1, lam2 = random_fused_lasso_instance(rng)
+            tc = TuningConstants(lam1, lam2)
+            deep = solve_mm_tdm(y, tc, tol=1e-13, max_iter=10**6)
+            assert deep.converged
+            out.append((y, lam1, lam2, exact_fused_lasso(y, lam1, lam2), deep.beta, solve_mm_tdm(y, tc).beta))
+        return out
+
+    def test_oracle_objective_is_never_above_mm(self, solutions):
+        for y, lam1, lam2, exact, deep, default in solutions:
+            best = exact_objective(exact, y, lam1, lam2)
+            for beta in (deep, default):
+                assert best <= exact_objective(beta, y, lam1, lam2)
+
+    def test_deep_solve_is_near_the_oracle(self, solutions):
+        distance = max(float(np.max(np.abs(deep - exact))) for *_, exact, deep, _ in solutions)
+        print(f"\nmax-norm distance of the tol=1e-13 solve from the exact solution: {distance:.3g}")
+        assert distance <= self.DEEP_BOUND
+
+    def test_default_solve_distance(self, solutions):
+        distance = [float(np.max(np.abs(default - exact))) for *_, exact, _, default in solutions]
+        print(
+            "\nmax-norm distance of the default solve from the exact solution: "
+            f"median {np.median(distance):.3g}, max {max(distance):.3g}"
+        )
+        assert max(distance) <= self.DEFAULT_BOUND

@@ -8,6 +8,8 @@ from scipy import stats
 
 from cnvfuse.errors import DegenerateSignal, TooFewSnps
 from cnvfuse.signal_model import (
+    BAF_CENTERS,
+    STATE_ARRAY,
     TRIM_LOWER_PCT,
     TRIM_UPPER_PCT,
     STATES_BY_COPY,
@@ -18,6 +20,7 @@ from cnvfuse.signal_model import (
     _percentiles,
     default_lambdas,
     estimate_sigma,
+    state_index,
     trimmed_std,
 )
 
@@ -251,3 +254,13 @@ class TestStateTable:
                 assert state.copy_number == c
                 if c > 0:
                     assert state.baf_center == k / c
+
+    def test_state_index_lookup(self):
+        pairs = [(c, k) for c in range(4) for k in range(c + 1)]
+        copies, b_alleles = np.array(pairs).T
+        index = state_index(copies, b_alleles)
+        assert [TEN_STATES[i] for i in index] == [STATES_BY_COPY[c][k] for c, k in pairs]
+        assert STATE_ARRAY[index].tolist() == [STATES_BY_COPY[c][k] for c, k in pairs]
+        # bit-identical to the k / c that the simulator drew around before
+        expected = np.array([k / c if c else 0.0 for c, k in pairs])
+        assert BAF_CENTERS[index].tobytes() == expected.tobytes()

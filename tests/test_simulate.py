@@ -19,6 +19,7 @@ from cnvfuse.simulate import (
     run_benchmark,
     score,
 )
+from cnvfuse.signal_model import STATES_BY_COPY
 
 
 class TestGenerate:
@@ -95,6 +96,31 @@ class TestGenerate:
         truth = generate(spec)
         for c, s in zip(truth.true_copy, truth.true_genotype):
             assert s.copy_number == c
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            SimSpec(n=3000, cnv_length=400, cnv_type=CnvType.DELETION0, seed=11),
+            SimSpec(n=3000, cnv_length=400, cnv_type=CnvType.DELETION1, maf=0.5, seed=12),
+            SimSpec(n=3000, cnv_length=900, cnv_type=CnvType.DUPLICATION, cnv_start=5, seed=13),
+            SimSpec(n=800, cnv_length=0, sigma_baf=0.0, seed=14),
+        ],
+    )
+    def test_genotypes_and_baf_match_reference_draws(self, spec):
+        # generate's draws replayed, with each genotype picked from
+        # STATES_BY_COPY and each BAF center computed as n_b / copy
+        rng = np.random.default_rng(spec.seed)
+        copy = np.full(spec.n, 2, dtype=np.int64)
+        copy[spec.start_index : spec.start_index + spec.cnv_length] = spec.cnv_type.copy_number
+        n_b = rng.binomial(copy, spec.maf)
+        rng.normal(np.asarray(spec.mu_truth)[copy], spec.sigma_logr)
+        baf = rng.normal(np.where(copy > 0, n_b / np.maximum(copy, 1), 0.0), spec.sigma_baf)
+        baf = np.clip(np.where(copy == 0, rng.uniform(0.0, 1.0, size=spec.n), baf), 0.0, 1.0)
+        truth = generate(spec)
+        assert truth.track.baf.tobytes() == baf.tobytes()
+        assert truth.true_genotype == tuple(
+            STATES_BY_COPY[c][k] for c, k in zip(copy.tolist(), n_b.tolist())
+        )
 
     def test_copy0_baf_is_uniform_ks(self):
         spec = SimSpec(

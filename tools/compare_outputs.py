@@ -1,0 +1,126 @@
+"""Check that two source trees of cnvfuse give the same CLI outputs.
+
+Usage, from the repository root::
+
+    python3 tools/compare_outputs.py OLD_SRC NEW_SRC
+
+OLD_SRC and NEW_SRC are directories holding the ``cnvfuse`` package (a
+checkout's ``src/``). The script writes perfbench's genome inputs for
+seeds 1-3 into a temporary directory with ``perfbench/gen.py`` and runs
+the same commands with ``PYTHONPATH=OLD_SRC`` and ``PYTHONPATH=NEW_SRC``:
+
+* ``segment-fl`` with its ``split_at.txt``, once with the worker pool and
+  once pinned to one CPU with ``taskset -c 0`` (where taskset exists);
+* ``segment-dpi`` with its ``split_at.txt`` and ``--segments-out``;
+* ``simulate --truth-output`` on seeds 1-3 for each CNV type with a
+  non-default ``--chrom``, with no other flag, and with every flag set;
+* ``bench`` over the three methods, of whose report only the first 8
+  columns are compared (the 9th is a wall time);
+* ``--help`` of the program and of every subcommand.
+
+For each command it compares the exit status, stdout, stderr and every
+file written. It prints one line per command and exits 1 on any
+difference. Nothing is written outside the temporary directory.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+
+REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SEEDS = (1, 2, 3)
+
+
+def cases(inputs: dict[int, str]):
+    """(name, argv, files the command writes, relative to its directory)."""
+    taskset = ["taskset", "-c", "0"] if shutil.which("taskset") else None
+    for seed, d in inputs.items():
+        track = os.path.join(d, "genome.tsv")
+        with open(os.path.join(d, "split_at.txt"), encoding="utf-8") as fh:
+            split = ["--split-at", fh.read().strip()]
+        fl = ["segment-fl", track, *split, "--output", "fl.tsv"]
+        yield f"segment-fl genome {seed}", fl, ["fl.tsv"]
+        if taskset:
+            yield f"segment-fl genome {seed} on one CPU", taskset + fl, ["fl.tsv"]
+        dpi = ["segment-dpi", track, *split, "--output", "dpi.tsv", "--segments-out", "seg.tsv"]
+        yield f"segment-dpi genome {seed}", dpi, ["dpi.tsv", "seg.tsv"]
+    sim = ["simulate", "--output", "trk.tsv", "--truth-output", "truth.tsv"]
+    for seed in SEEDS:
+        for cnv_type in ("del0", "del1", "dup"):
+            flags = ["--seed", str(seed), "--cnv-type", cnv_type, "--chrom", "7"]
+            yield f"simulate {' '.join(flags)}", sim + flags, ["trk.tsv", "truth.tsv"]
+    yield "simulate, defaults", sim, ["trk.tsv", "truth.tsv"]
+    every = [
+        "--n", "2500", "--cnv-length", "70", "--cnv-type", "dup", "--cnv-start", "300",
+        "--sigma-logr", "0.25", "--sigma-baf", "0.05", "--maf", "0.4",
+        "--mu-truth=-5,-0.7,0.01,0.4", "--seed", "4", "--chrom", "X",
+    ]
+    yield "simulate, every flag", sim + every, ["trk.tsv", "truth.tsv"]
+    bench = [
+        "bench", "--methods", "fused_lasso,dpi,mmb", "--lengths", "1000,2000",
+        "--cnv-sizes", "10,40", "--per-cell", "4", "--seed", "5", "--output", "bench.tsv",
+    ]
+    yield "bench, columns 1-8", bench, ["bench.tsv"]
+    for sub in ([], ["segment-fl"], ["segment-dpi"], ["simulate"], ["bench"]):
+        yield f"{' '.join(['cnvfuse', *sub])} --help", [*sub, "--help"], []
+
+
+def run(src: str, workdir: str, argv: list[str], files: list[str]) -> dict:
+    """Run one command in an empty ``workdir``; return what it produced."""
+    shutil.rmtree(workdir, ignore_errors=True)
+    os.makedirs(workdir)
+    if argv[0] == "taskset":
+        cmd = [*argv[:3], sys.executable, "-m", "cnvfuse.cli", *argv[3:]]
+    else:
+        cmd = [sys.executable, "-m", "cnvfuse.cli", *argv]
+    env = {**os.environ, "PYTHONPATH": os.path.abspath(src)}
+    proc = subprocess.run(cmd, cwd=workdir, env=env, capture_output=True)
+    out = {"exit status": proc.returncode, "stdout": proc.stdout, "stderr": proc.stderr}
+    for name in files:
+        path = os.path.join(workdir, name)
+        data = None
+        if os.path.exists(path):
+            with open(path, "rb") as fh:
+                data = fh.read()
+        if data is not None and name == "bench.tsv":
+            data = b"\n".join(b"\t".join(line.split(b"\t")[:8]) for line in data.splitlines())
+        out[name] = data
+    return out
+
+
+def main(argv=None) -> int:
+    args = sys.argv[1:] if argv is None else argv
+    if len(args) != 2:
+        print("usage: python3 tools/compare_outputs.py OLD_SRC NEW_SRC", file=sys.stderr)
+        return 2
+    old_src, new_src = args
+    for src in (old_src, new_src):
+        if not os.path.isdir(os.path.join(src, "cnvfuse")):
+            print(f"{src}: no cnvfuse package here", file=sys.stderr)
+            return 2
+    differ = 0
+    with tempfile.TemporaryDirectory(prefix="compare_outputs-") as tmp:
+        inputs = {}
+        for seed in SEEDS:
+            inputs[seed] = os.path.join(tmp, f"inputs-{seed}")
+            subprocess.run(
+                [sys.executable, os.path.join(REPO, "perfbench", "gen.py"), "--seed", str(seed), "--out", inputs[seed]],
+                check=True,
+                stdout=subprocess.DEVNULL,
+            )
+        for name, cmd, files in cases(inputs):
+            old = run(old_src, os.path.join(tmp, "old"), cmd, files)
+            new = run(new_src, os.path.join(tmp, "new"), cmd, files)
+            diffs = [what for what in old if old[what] != new[what]]
+            differ += bool(diffs)
+            print(f"{'DIFFER' if diffs else 'same  '}  {name}" + (f": {', '.join(diffs)}" if diffs else ""))
+    print(f"{differ} command(s) differ" if differ else "all outputs identical")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
