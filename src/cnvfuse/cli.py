@@ -266,9 +266,9 @@ def _where(chrom: str, track: SnpTrack) -> str:
     return f"chromosome {chrom} (positions {int(track.positions[0])}-{int(track.positions[-1])})"
 
 
-def _fl_rows(args, chrom, track) -> tuple[list[str], bool]:
-    """Fit one sequence by fused lasso; return its output rows and whether
-    MM converged."""
+def _fl_rows(args, chrom, track) -> tuple[list[str], str | None]:
+    """Fit one sequence by fused lasso; return its output rows and a
+    warning if MM did not converge."""
     _, fit, segments = pipeline.fit_fused_lasso(
         track,
         args.lambda1,
@@ -294,12 +294,13 @@ def _fl_rows(args, chrom, track) -> tuple[list[str], bool]:
         )
         for seg in segments
     ]
-    return rows, bool(fit.converged)
+    warning = f"{_where(chrom, track)}: MM stopped at max_iter={args.max_iter} without converging"
+    return rows, None if fit.converged else warning
 
 
-def _dpi_rows(args, chrom, track) -> tuple[list[str], list[str]]:
+def _dpi_rows(args, chrom, track) -> tuple[tuple[list[str], list[str]], None]:
     """Impute one sequence's copy numbers by DP; return its per-SNP rows
-    and its constant-copy segment rows."""
+    and its constant-copy segment rows, and no warning."""
     path = pipeline.fit_dpi(
         track,
         args.lambda1,
@@ -320,29 +321,26 @@ def _dpi_rows(args, chrom, track) -> tuple[list[str], list[str]]:
         f"{chrom}\t{positions[a]}\t{positions[b - 1]}\t{b - a}\t{copies[a]}"
         for a, b in zip(starts, ends)
     ]
-    return snp_rows, seg_rows
+    return (snp_rows, seg_rows), None
 
 
-def _fit_sequence(rows_of, args, chrom, track):
-    """``rows_of(args, chrom, track)``; a CnvFuseError raised for the
-    sequence names it."""
+# (rows_of, args, sequences) of the fit in progress. Forked workers
+# inherit it and are sent only sequence indices, so no track is pickled,
+# and no function that a tracer has replaced by a closure. Forked workers
+# also skip the ~0.1 s import of numpy and cnvfuse that a spawned one
+# repeats; the CLI starts no thread of its own before it forks.
+_job = None
+
+
+def _fit(k):
+    """``rows_of(args, chrom, track)`` for sequence k of ``_job``; a
+    CnvFuseError raised for the sequence names it."""
+    rows_of, args, sequences = _job
+    chrom, track = sequences[k]
     try:
         return rows_of(args, chrom, track)
     except CnvFuseError as exc:
         raise type(exc)(f"{_where(chrom, track)}: {exc}") from exc
-
-
-# (rows_of, args, sequences) of the worker pool being started. Workers
-# inherit it through fork and are sent only sequence indices, so no track
-# is pickled, and no function that a tracer has replaced by a closure.
-# Forked workers also skip the ~0.1 s import of numpy and cnvfuse that a
-# spawned one repeats; the CLI starts no thread of its own before it forks.
-_forked_job = None
-
-
-def _fit_forked(k):
-    rows_of, args, sequences = _forked_job
-    return _fit_sequence(rows_of, args, *sequences[k])
 
 
 def _worker_count(n_sequences: int) -> int:
@@ -358,41 +356,39 @@ def _worker_count(n_sequences: int) -> int:
     return min(cpus, n_sequences)
 
 
-def _fit_in_pool(rows_of, args, sequences, workers: int):
-    """Yield (chrom, track, ``_fit_sequence(rows_of, args, chrom, track)``)
-    for every sequence, in input order, fitting the sequences longest
-    first in ``workers`` forked processes.
-
-    On an error, the work not yet started is cancelled. Every worker is
-    reaped before the generator finishes or raises."""
-    global _forked_job
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
-    longest_first = sorted(range(len(sequences)), key=lambda k: -sequences[k][1].n)
-    # a child would write out again whatever was left in the buffers
-    sys.stdout.flush()
-    sys.stderr.flush()
-    _forked_job = (rows_of, args, sequences)
-    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
-    try:
-        futures = {k: pool.submit(_fit_forked, k) for k in longest_first}
-        for k, (chrom, track) in enumerate(sequences):
-            yield chrom, track, futures[k].result()
-    finally:
-        pool.shutdown(wait=True, cancel_futures=True)
-        _forked_job = None
-
-
-def _fits(args, rows_of, parallel: bool):
-    """An iterator of (chrom, track, rows_of(args, chrom, track)) over every
-    sequence, in input order. With ``parallel``, the sequences are fitted
-    in worker processes (see ``_worker_count``)."""
+def _fit_all(args, rows_of, parallel: bool) -> list:
+    """The rows of every sequence, in input order. ``rows_of(args, chrom,
+    track)`` returns (rows, warning or None); a warning is logged when its
+    sequence is reached in input order. With ``parallel``, the sequences are
+    fitted longest first in forked workers (see ``_worker_count``); on an
+    error the work not yet started is cancelled, and every worker is reaped
+    before this returns or raises."""
+    global _job
     sequences = _sequences(args)
     workers = _worker_count(len(sequences)) if parallel else 1
-    if workers > 1:
-        return _fit_in_pool(rows_of, args, sequences, workers)
-    return ((chrom, track, _fit_sequence(rows_of, args, chrom, track)) for chrom, track in sequences)
+    pool = None
+    _job = (rows_of, args, sequences)
+    try:
+        if workers > 1:
+            import multiprocessing
+            from concurrent.futures import ProcessPoolExecutor
+
+            # a child would write out again whatever was left in the buffers
+            sys.stdout.flush()
+            sys.stderr.flush()
+            pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+            futures = {k: pool.submit(_fit, k) for k in sorted(range(len(sequences)), key=lambda k: -sequences[k][1].n)}
+        fits = []
+        for k in range(len(sequences)):
+            rows, warning = futures[k].result() if pool else _fit(k)
+            if warning is not None:
+                logger.warning("%s", warning)
+            fits.append(rows)
+        return fits
+    finally:
+        if pool is not None:
+            pool.shutdown(wait=True, cancel_futures=True)
+        _job = None
 
 
 def _write_lines(path, lines):
@@ -406,11 +402,7 @@ def _write_lines(path, lines):
 
 def cmd_segment_fl(args) -> int:
     lines = ["\t".join(["chrom", "start_pos", "end_pos", "n_snps", "mean_beta", "z", "p", "call"])]
-    for chrom, track, (rows, converged) in _fits(args, _fl_rows, parallel=True):
-        if not converged:
-            logger.warning(
-                "%s: MM stopped at max_iter=%d without converging", _where(chrom, track), args.max_iter
-            )
+    for rows in _fit_all(args, _fl_rows, parallel=True):
         lines.extend(rows)
     _write_lines(args.output, lines)
     return 0
@@ -419,7 +411,7 @@ def cmd_segment_fl(args) -> int:
 def cmd_segment_dpi(args) -> int:
     snp_lines = ["\t".join(["snp_id", "chrom", "pos", "genotype_state", "copy_number"])]
     seg_lines = ["\t".join(["chrom", "start_pos", "end_pos", "n_snps", "copy_number"])]
-    for _, _, (snp_rows, seg_rows) in _fits(args, _dpi_rows, parallel=False):
+    for snp_rows, seg_rows in _fit_all(args, _dpi_rows, parallel=False):
         snp_lines.extend(snp_rows)
         seg_lines.extend(seg_rows)
     _write_lines(args.output, snp_lines)
@@ -497,6 +489,13 @@ def _entry(convert, expected: str):
     return parse
 
 
+def _fdr_level(text: str) -> float:
+    level = float(text)
+    if not 0.0 < level < 1.0:
+        raise ValueError
+    return level
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cnvfuse",
@@ -512,14 +511,14 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--output", default=None, help="output path (default stdout)")
 
     def add_fl_flags(p):
-        p.add_argument("--fdr", type=float, default=sc.DEFAULT_FDR_LEVEL)
+        p.add_argument("--fdr", type=_entry(_fdr_level, "a level in (0, 1)"), default=sc.DEFAULT_FDR_LEVEL)
         p.add_argument("--min-snps", type=int, default=sc.DEFAULT_MIN_SNPS)
         p.add_argument("--tol", type=float, default=fl.DEFAULT_TOL)
         p.add_argument("--max-iter", type=int, default=fl.DEFAULT_MAX_ITER)
 
     def add_dpi_flags(p):
         p.add_argument("--alpha", type=float, default=dpi_mod.DEFAULT_ALPHA)
-        p.add_argument("--mu-init", type=_comma_list(float, 4), default=dpi_mod.DEFAULT_COPY_LOGR_MEANS, metavar="M0,M1,M2,M3")
+        p.add_argument("--mu-init", type=_comma_list(float, 4), default=dpi_mod.DEFAULT_COPY_LOGR_MEANS, metavar="M0,M1,M2,M3", help="write --mu-init=M0,M1,M2,M3 when M0 is negative")
 
     p_fl = sub.add_parser("segment-fl", help="fused-lasso segmentation and FDR-controlled calling")
     add_segment_flags(p_fl)
@@ -543,7 +542,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--sigma-logr", type=float)
     p_sim.add_argument("--sigma-baf", type=float)
     p_sim.add_argument("--maf", type=float)
-    p_sim.add_argument("--mu-truth", type=_comma_list(float, 4), metavar="M0,M1,M2,M3")
+    p_sim.add_argument("--mu-truth", type=_comma_list(float, 4), metavar="M0,M1,M2,M3", help="write --mu-truth=M0,M1,M2,M3 when M0 is negative")
     p_sim.add_argument("--seed", type=int)
     p_sim.add_argument("--chrom")
     p_sim.add_argument("--output", default=None)

@@ -3,9 +3,9 @@
 None of these runs in a CLI or library route: the fused-lasso gradient
 and the soft-thresholding identity (acceptance criteria 1 and 5), the
 exact solution of the non-smoothed fused-lasso criterion
-(tests/test_fused_lasso.py), and the per-state losses and path
-re-evaluation of the discrete objective (criterion 6 and
-tests/test_dpi.py).
+(tests/test_fused_lasso.py), and, for the discrete objective (criterion 6
+and tests/test_dpi.py), the per-state losses, the exhaustive search over
+every state sequence and the re-evaluation of one path.
 """
 
 import numpy as np
@@ -89,26 +89,56 @@ def loss_logr(y: float, state: CopyState, model: DpiModel) -> float:
     return d * d
 
 
+def baf_losses(x) -> np.ndarray:
+    """n x 10 table of BAF losses, one column per TEN_STATES entry: the
+    squared distance to the genotype's centre, and for phi the expected
+    squared distance to a Uniform(0, 1) draw."""
+    x = np.asarray(x, dtype=np.float64)
+    # A, B, AA, AB, BB, AAA, AAB, ABB, BBB
+    centres = (0.0, 1.0, 0.0, 0.5, 1.0, 0.0, 1.0 / 3.0, 2.0 / 3.0, 1.0)
+    return np.column_stack([(x**3 + (1.0 - x) ** 3) / 3.0, *((x - c) ** 2 for c in centres)])
+
+
+def class_baf_losses(x) -> tuple[np.ndarray, np.ndarray]:
+    """The least BAF loss of each copy class and the index, within the
+    class, of the first genotype that attains it (n x 4 each)."""
+    table = baf_losses(x)
+    classes = [table[:, a:b] for a, b in ((0, 1), (1, 3), (3, 6), (6, 10))]
+    return (
+        np.column_stack([losses.min(axis=1) for losses in classes]),
+        np.column_stack([losses.argmin(axis=1) for losses in classes]),
+    )
+
+
 def loss_baf_10(x: float, state: CopyState) -> float:
-    """Squared BAF distance to the genotype center; for the null state,
-    the expected squared distance to a Uniform(0, 1) draw."""
-    if state.baf_center is None:
-        return (x**3 + (1.0 - x) ** 3) / 3.0
-    d = x - state.baf_center
-    return d * d
+    """BAF loss of one value in one genotype state."""
+    return float(baf_losses([x])[0, TEN_STATES.index(state)])
 
 
 def loss_baf_4(x: float, copy_number: int) -> float:
     """Collapsed BAF loss: minimum over the genotypes of one copy class."""
-    if copy_number == 0:
-        return (x**3 + (1.0 - x) ** 3) / 3.0
-    if copy_number == 1:
-        return min(x * x, (x - 1.0) ** 2)
-    if copy_number == 2:
-        return min(x * x, (x - 0.5) ** 2, (x - 1.0) ** 2)
-    if copy_number == 3:
-        return min(x * x, (x - 1.0 / 3.0) ** 2, (x - 2.0 / 3.0) ** 2, (x - 1.0) ** 2)
-    raise ValueError(f"copy_number must be in 0..3, got {copy_number}")
+    return float(class_baf_losses([x])[0][0, copy_number])
+
+
+def enumerate_paths(track: SnpTrack, model: DpiModel, n_states: int) -> tuple[float, np.ndarray]:
+    """Exhaustive search over all n_states**n state sequences: the 10
+    genotypes of TEN_STATES, or the 4 copy classes with their least BAF
+    loss. Returns the least objective, summed in the order of the
+    recursion, and the first sequence that reaches it."""
+    mu = np.asarray(model.mu)
+    if n_states == 10:
+        mu = mu[[s.copy_number for s in TEN_STATES]]
+        l2 = baf_losses(track.baf)
+    else:
+        l2 = class_baf_losses(track.baf)[0]
+    stage = ((track.logr[:, None] - mu) ** 2 + model.alpha * l2) + model.lambda1 * np.abs(mu)
+    pen = model.lambda2 * np.abs(mu[:, None] - mu[None, :])
+    seqs = np.indices((n_states,) * track.n).reshape(track.n, -1)
+    acc = stage[0, seqs[0]]
+    for i in range(1, track.n):
+        acc = (acc + pen[seqs[i - 1], seqs[i]]) + stage[i, seqs[i]]
+    best = int(np.argmin(acc))
+    return float(acc[best]), seqs[:, best]
 
 
 def path_objective(track: SnpTrack, states, model: DpiModel) -> float:

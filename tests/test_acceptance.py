@@ -39,7 +39,7 @@ from cnvfuse.simulate import (
     generate,
 )
 
-from oracles import gradient, path_objective, soft_threshold_check
+from oracles import enumerate_paths, gradient, path_objective, soft_threshold_check
 
 CORPUS_SEED = 2024
 
@@ -195,40 +195,6 @@ def test_criterion_5_soft_threshold_identity():
     _finish(5, ok, f"20 step-signal instances (n=500): max discrepancy {worst:.2e} <= 1e-3")
 
 
-def _enumeration_oracle(track, model, n_states):
-    y, x, n = track.logr, track.baf, track.n
-    mu = np.asarray(model.mu)
-    if n_states == 10:
-        state_mu = np.array([mu[s.copy_number] for s in TEN_STATES])
-        l2 = np.empty((n, 10))
-        l2[:, 0] = (x**3 + (1.0 - x) ** 3) / 3.0
-        for j, s in enumerate(TEN_STATES[1:], start=1):
-            l2[:, j] = (x - s.baf_center) ** 2
-        l1 = (y[:, None] - state_mu[None, :]) ** 2
-        pen = model.lambda2 * np.abs(state_mu[:, None] - state_mu[None, :])
-        stage = (l1 + model.alpha * l2) + (model.lambda1 * np.abs(state_mu))[None, :]
-    else:
-        l2 = np.column_stack(
-            [
-                (x**3 + (1.0 - x) ** 3) / 3.0,
-                np.minimum(x**2, (x - 1.0) ** 2),
-                np.minimum(np.minimum(x**2, (x - 0.5) ** 2), (x - 1.0) ** 2),
-                np.minimum(
-                    np.minimum(x**2, (x - 1.0 / 3.0) ** 2),
-                    np.minimum((x - 2.0 / 3.0) ** 2, (x - 1.0) ** 2),
-                ),
-            ]
-        )
-        l1 = (y[:, None] - mu[None, :]) ** 2
-        pen = model.lambda2 * np.abs(mu[:, None] - mu[None, :])
-        stage = (l1 + model.alpha * l2) + (model.lambda1 * np.abs(mu))[None, :]
-    seqs = np.indices((n_states,) * n).reshape(n, -1)
-    acc = stage[0, seqs[0]]
-    for i in range(1, n):
-        acc = (acc + pen[seqs[i - 1], seqs[i]]) + stage[i, seqs[i]]
-    return float(np.min(acc))
-
-
 def test_criterion_6_dp_exact_optimality():
     rng = np.random.default_rng(789)
     mismatches = 0
@@ -246,7 +212,7 @@ def test_criterion_6_dp_exact_optimality():
             alpha=float(rng.uniform(0.0, 15.0)),
         )
         path = dpi_mod.dp_impute(track, model)
-        ref = _enumeration_oracle(track, model, 10 if ten else 4)
+        ref, _ = enumerate_paths(track, model, 10 if ten else 4)
         if path.objective != ref:
             mismatches += 1
         reval = path_objective(track, path.states, model)

@@ -1,6 +1,7 @@
 """End-to-end tests for the command-line interface."""
 
 import argparse
+import concurrent.futures
 import logging
 import math
 import multiprocessing
@@ -623,6 +624,12 @@ def test_bad_split_at_entry_is_named(tmp_path, capsys, route, entry):
         (["simulate", "--cnv-start", "abc"], "--cnv-start", "abc"),
         (["simulate", "--mu-truth", "1,2"], "--mu-truth", "1,2"),
         (["segment-dpi", "{input}", "--mu-init", "1,2,3,x"], "--mu-init", "x"),
+        # --fdr is read by the parser too, and must lie in (0, 1)
+        *(
+            ([*command, "--fdr", level], "--fdr", level)
+            for command in (["segment-fl", "{input}"], ["bench"])
+            for level in ("0", "1", "1.5", "-0.1", "nan")
+        ),
     ],
 )
 def test_bad_list_flag_entry_is_a_usage_error(tmp_path, capsys, argv, flag, entry):
@@ -635,6 +642,18 @@ def test_bad_list_flag_entry_is_a_usage_error(tmp_path, capsys, argv, flag, entr
     err = capsys.readouterr().err
     assert f"error: argument {flag}: " in err and repr(entry) in err
     assert not out.exists()
+
+
+def test_negative_first_mean_is_written_with_equals(tmp_path, capsys):
+    # argparse takes "-5.6,..." for an option, so the help gives the "=" form
+    track = simulate_track(tmp_path, n=300, cnv_length=20, seed=27)
+    assert run_cli(["segment-dpi", track, "--mu-init=-5.6,-0.6,0,0.3", "--output", tmp_path / "o.tsv"]) == 0
+    for command, flag in (("segment-dpi", "--mu-init"), ("bench", "--mu-init"), ("simulate", "--mu-truth")):
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            run_cli([command, "--help"])
+        assert exc.value.code == 0
+        assert f"write {flag}=M0,M1,M2,M3 when M0 is negative" in " ".join(capsys.readouterr().out.split())
 
 
 def test_segment_dpi_with_both_lambdas_fits_short_chromosomes(tmp_path, capsys):
@@ -721,9 +740,11 @@ def _run_with_workers(monkeypatch, caplog, capsys, workers, argv):
     the exit code, stdout, stderr and the warnings logged, and check that
     the pool ran exactly when ``workers`` > 1 and left no process behind."""
     pools = []
-    fit_in_pool = cli._fit_in_pool
+    pool_class = concurrent.futures.ProcessPoolExecutor
     monkeypatch.setattr(cli, "_worker_count", lambda n_sequences: workers)
-    monkeypatch.setattr(cli, "_fit_in_pool", lambda *a: pools.append(a[-1]) or fit_in_pool(*a))
+    monkeypatch.setattr(
+        concurrent.futures, "ProcessPoolExecutor", lambda n, **kw: pools.append(n) or pool_class(n, **kw)
+    )
     caplog.clear()
     with caplog.at_level("WARNING", logger="cnvfuse.cli"):
         code = run_cli(argv)
@@ -799,6 +820,26 @@ class TestWorkerPool:
         )
         assert code == 1 and stdout == ""
         assert stderr == f"cnvfuse: error: chromosome {named}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_warnings_before_a_failing_sequence_are_kept(
+        self, tmp_path, monkeypatch, caplog, capsys, workers
+    ):
+        # the later sequence 4 may be fitted, but its warning is not logged
+        track = _sequences_file(tmp_path, (400, 1200, 30, 300))
+        out = tmp_path / "seg.tsv"
+        argv = ["segment-fl", track, "--output", out, "--max-iter", "1"]
+        code, stdout, stderr, warnings = _run_with_workers(monkeypatch, caplog, capsys, workers, argv)
+        assert warnings == [
+            f"chromosome {chrom} (positions 5000-{last}): MM stopped at max_iter=1 without converging"
+            for chrom, last in ((1, 2_000_000), (2, 6_000_000))
+        ]
+        assert code == 1 and stdout == ""
+        assert stderr == (
+            "cnvfuse: error: chromosome 3 (positions 5000-150000): "
+            "need at least 40 values to estimate sigma, got 30\n"
+        )
         assert not out.exists()
 
 

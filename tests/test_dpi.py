@@ -1,7 +1,8 @@
 """Tests for dynamic-programming imputation.
 
-The optimality oracle enumerates every state sequence outright (10^n or
-4^n candidates, vectorized) and must agree with the recursion exactly.
+The optimality oracle (oracles.enumerate_paths) enumerates every state
+sequence outright (10^n or 4^n candidates, vectorized) and must agree with
+the recursion exactly.
 """
 
 import math
@@ -28,7 +29,15 @@ from cnvfuse.dpi import (
 from cnvfuse.errors import NonFiniteInput
 from cnvfuse.signal_model import STATES_BY_COPY, SnpTrack, TEN_STATES
 
-from oracles import STATE_BY_NAME, loss_baf_10, loss_baf_4, loss_logr, path_objective
+from oracles import (
+    STATE_BY_NAME,
+    class_baf_losses,
+    enumerate_paths,
+    loss_baf_10,
+    loss_baf_4,
+    loss_logr,
+    path_objective,
+)
 
 
 def make_track(logr, baf):
@@ -45,77 +54,12 @@ def random_model(rng):
     )
 
 
-def brute_force_10(track, model):
-    """Exhaustive search over all 10^n genotype sequences."""
-    y, x, n = track.logr, track.baf, track.n
-    mu = np.asarray(model.mu)
-    state_mu = np.array([mu[s.copy_number] for s in TEN_STATES])
-    l2 = np.empty((n, 10))
-    l2[:, 0] = (x**3 + (1.0 - x) ** 3) / 3.0
-    for j, s in enumerate(TEN_STATES[1:], start=1):
-        l2[:, j] = (x - s.baf_center) ** 2
-    l1 = (y[:, None] - state_mu[None, :]) ** 2
-    stage = (l1 + model.alpha * l2) + (model.lambda1 * np.abs(state_mu))[None, :]
-    pen = model.lambda2 * np.abs(state_mu[:, None] - state_mu[None, :])
-    seqs = np.indices((10,) * n).reshape(n, -1)
-    acc = stage[0, seqs[0]]
-    for i in range(1, n):
-        acc = (acc + pen[seqs[i - 1], seqs[i]]) + stage[i, seqs[i]]
-    best = int(np.argmin(acc))
-    return float(acc[best]), seqs[:, best]
-
-
-def brute_force_4(track, model):
-    """Exhaustive search over all 4^n copy-number sequences with the
-    collapsed BAF loss."""
-    y, x, n = track.logr, track.baf, track.n
-    mu = np.asarray(model.mu)
-    l2 = np.column_stack(
-        [
-            (x**3 + (1.0 - x) ** 3) / 3.0,
-            np.minimum(x**2, (x - 1.0) ** 2),
-            np.minimum(np.minimum(x**2, (x - 0.5) ** 2), (x - 1.0) ** 2),
-            np.minimum(
-                np.minimum(x**2, (x - 1.0 / 3.0) ** 2),
-                np.minimum((x - 2.0 / 3.0) ** 2, (x - 1.0) ** 2),
-            ),
-        ]
-    )
-    l1 = (y[:, None] - mu[None, :]) ** 2
-    stage = (l1 + model.alpha * l2) + (model.lambda1 * np.abs(mu))[None, :]
-    pen = model.lambda2 * np.abs(mu[:, None] - mu[None, :])
-    seqs = np.indices((4,) * n).reshape(n, -1)
-    acc = stage[0, seqs[0]]
-    for i in range(1, n):
-        acc = (acc + pen[seqs[i - 1], seqs[i]]) + stage[i, seqs[i]]
-    best = int(np.argmin(acc))
-    return float(acc[best]), seqs[:, best]
-
-
 def _class_loss_tables(track: SnpTrack, model: DpiModel):
     """Per-position stage cost for each copy class, plus the index of the
     best genotype within the class (lowest table index on ties)."""
-    y = track.logr
-    x = track.baf
+    l2, geno_idx = class_baf_losses(track.baf)
     mu = np.asarray(model.mu)
-    l1 = (y[:, None] - mu[None, :]) ** 2
-
-    null_loss = (x**3 + (1.0 - x) ** 3) / 3.0
-    cand1 = np.stack([x**2, (x - 1.0) ** 2])
-    cand2 = np.stack([x**2, (x - 0.5) ** 2, (x - 1.0) ** 2])
-    cand3 = np.stack([x**2, (x - 1.0 / 3.0) ** 2, (x - 2.0 / 3.0) ** 2, (x - 1.0) ** 2])
-    l2 = np.column_stack(
-        [null_loss, cand1.min(axis=0), cand2.min(axis=0), cand3.min(axis=0)]
-    )
-    geno_idx = np.column_stack(
-        [
-            np.zeros(track.n, dtype=np.int8),
-            cand1.argmin(axis=0).astype(np.int8),
-            cand2.argmin(axis=0).astype(np.int8),
-            cand3.argmin(axis=0).astype(np.int8),
-        ]
-    )
-    stage = (l1 + model.alpha * l2) + model.lambda1 * np.abs(mu)[None, :]
+    stage = ((track.logr[:, None] - mu) ** 2 + model.alpha * l2) + model.lambda1 * np.abs(mu)
     return stage, geno_idx
 
 
@@ -233,23 +177,6 @@ class TestLosses:
                 assert loss_baf_4(x, c) == pytest.approx(per_state, rel=1e-12)
 
 
-def literal_stage_columns(track, model):
-    """The stage columns with each copy class's BAF centres written out."""
-    x = track.baf
-    sq0 = x**2
-    sq1 = (x - 1.0) ** 2
-    l2 = (
-        (x**3 + (1.0 - x) ** 3) / 3.0,
-        np.minimum(sq0, sq1),
-        np.minimum(np.minimum(sq0, (x - 0.5) ** 2), sq1),
-        np.minimum(np.minimum(sq0, (x - 1.0 / 3.0) ** 2), np.minimum((x - 2.0 / 3.0) ** 2, sq1)),
-    )
-    return [
-        ((track.logr - mu) ** 2 + model.alpha * l2_j) + model.lambda1 * abs(mu)
-        for mu, l2_j in zip(model.mu, l2)
-    ]
-
-
 def test_stage_columns_match_the_literal_centres():
     rng = np.random.default_rng(47)
     centres = [0.0, 1.0, 0.5, 1.0 / 3.0, 2.0 / 3.0]
@@ -259,7 +186,8 @@ def test_stage_columns_match_the_literal_centres():
         track = make_track(rng.normal(0, 1, n), baf)
         model = random_model(rng)
         got = _stage_columns(track, model)
-        want = literal_stage_columns(track, model)
+        # the reference table's columns, from BAF centres written out as literals
+        want = _class_loss_tables(track, model)[0].T
         assert [c.tobytes() for c in got] == [c.tobytes() for c in want]
 
 
@@ -293,7 +221,7 @@ class TestDpImpute:
             track = make_track(rng.normal(-1, 2, n), rng.uniform(0, 1, n))
             model = random_model(rng)
             path = dp_impute(track, model)
-            ref_obj, ref_seq = brute_force_10(track, model)
+            ref_obj, ref_seq = enumerate_paths(track, model, 10)
             assert path.objective == ref_obj  # bit-exact
             # path agrees up to objective ties
             assert path_objective(track, path.states, model) == pytest.approx(
@@ -307,7 +235,7 @@ class TestDpImpute:
             track = make_track(rng.normal(-1, 2, n), rng.uniform(0, 1, n))
             model = random_model(rng)
             path = dp_impute(track, model)
-            ref_obj, ref_seq = brute_force_4(track, model)
+            ref_obj, ref_seq = enumerate_paths(track, model, 4)
             assert path.objective == ref_obj
             assert np.array_equal(path.copy_numbers, ref_seq) or (
                 path_objective(track, path.states, model) == pytest.approx(ref_obj, rel=1e-12)

@@ -6,12 +6,17 @@ Usage, from the repository root::
 
 OLD_SRC and NEW_SRC are directories holding the ``cnvfuse`` package (a
 checkout's ``src/``). The script writes perfbench's genome inputs for
-seeds 1-3 into a temporary directory with ``perfbench/gen.py`` and runs
-the same commands with ``PYTHONPATH=OLD_SRC`` and ``PYTHONPATH=NEW_SRC``:
+seeds 1-3 into a temporary directory with ``perfbench/gen.py``, and a copy
+of each genome with a 2-SNP chromosome appended, which no route can fit.
+It runs the same commands with ``PYTHONPATH=OLD_SRC`` and
+``PYTHONPATH=NEW_SRC``:
 
-* ``segment-fl`` with its ``split_at.txt``, once with the worker pool and
+* ``segment-fl`` with its ``split_at.txt``, on the genome, on the genome
+  with ``--max-iter 5`` (a warning per sequence) and on the genome with
+  the 2-SNP chromosome (an error), each once with the worker pool and
   once pinned to one CPU with ``taskset -c 0`` (where taskset exists);
-* ``segment-dpi`` with its ``split_at.txt`` and ``--segments-out``;
+* ``segment-dpi`` with its ``split_at.txt`` and ``--segments-out``, on the
+  genome and on the genome with the 2-SNP chromosome;
 * ``simulate --truth-output`` on seeds 1-3 for each CNV type with a
   non-default ``--chrom``, with no other flag, and with every flag set;
 * ``bench`` over the three methods, of whose report only the first 8
@@ -19,8 +24,10 @@ the same commands with ``PYTHONPATH=OLD_SRC`` and ``PYTHONPATH=NEW_SRC``:
 * ``--help`` of the program and of every subcommand.
 
 For each command it compares the exit status, stdout, stderr and every
-file written. It prints one line per command and exits 1 on any
-difference. Nothing is written outside the temporary directory.
+file written; a file that neither side writes counts as the same, one
+that only one side writes as a difference. It prints one line per
+command and exits 1 on any difference. Nothing is written outside the
+temporary directory.
 """
 
 from __future__ import annotations
@@ -33,21 +40,29 @@ import tempfile
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SEEDS = (1, 2, 3)
+# appended to each genome as genome_2snp.tsv: too short for a sigma estimate
+SHORT_CHROM = "x1\t7\t1000\t0.1\t0.5\nx2\t7\t2000\t-0.2\t0.3\n"
 
 
 def cases(inputs: dict[int, str]):
     """(name, argv, files the command writes, relative to its directory)."""
     taskset = ["taskset", "-c", "0"] if shutil.which("taskset") else None
     for seed, d in inputs.items():
-        track = os.path.join(d, "genome.tsv")
+        track, short = os.path.join(d, "genome.tsv"), os.path.join(d, "genome_2snp.tsv")
         with open(os.path.join(d, "split_at.txt"), encoding="utf-8") as fh:
             split = ["--split-at", fh.read().strip()]
-        fl = ["segment-fl", track, *split, "--output", "fl.tsv"]
-        yield f"segment-fl genome {seed}", fl, ["fl.tsv"]
-        if taskset:
-            yield f"segment-fl genome {seed} on one CPU", taskset + fl, ["fl.tsv"]
-        dpi = ["segment-dpi", track, *split, "--output", "dpi.tsv", "--segments-out", "seg.tsv"]
-        yield f"segment-dpi genome {seed}", dpi, ["dpi.tsv", "seg.tsv"]
+        for label, path, flags in (
+            ("", track, []),
+            (", --max-iter 5", track, ["--max-iter", "5"]),
+            (" + 2-SNP chromosome", short, []),
+        ):
+            fl = ["segment-fl", path, *split, "--output", "fl.tsv", *flags]
+            yield f"segment-fl genome {seed}{label}", fl, ["fl.tsv"]
+            if taskset:
+                yield f"segment-fl genome {seed}{label} on one CPU", taskset + fl, ["fl.tsv"]
+        for label, path in (("", track), (" + 2-SNP chromosome", short)):
+            dpi = ["segment-dpi", path, *split, "--output", "dpi.tsv", "--segments-out", "seg.tsv"]
+            yield f"segment-dpi genome {seed}{label}", dpi, ["dpi.tsv", "seg.tsv"]
     sim = ["simulate", "--output", "trk.tsv", "--truth-output", "truth.tsv"]
     for seed in SEEDS:
         for cnv_type in ("del0", "del1", "dup"):
@@ -112,6 +127,10 @@ def main(argv=None) -> int:
                 check=True,
                 stdout=subprocess.DEVNULL,
             )
+            with open(os.path.join(inputs[seed], "genome.tsv"), encoding="utf-8") as fh:
+                genome = fh.read()
+            with open(os.path.join(inputs[seed], "genome_2snp.tsv"), "w", encoding="utf-8") as fh:
+                fh.write(genome + SHORT_CHROM)
         for name, cmd, files in cases(inputs):
             old = run(old_src, os.path.join(tmp, "old"), cmd, files)
             new = run(new_src, os.path.join(tmp, "new"), cmd, files)
