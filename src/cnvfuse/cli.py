@@ -28,7 +28,7 @@ from . import segment_caller as sc
 from . import simulate as sim
 from .errors import CnvFuseError, TrackFormatError
 # estimate_sigma and default_lambdas stay names here: perfbench/tracing.py wraps them in this module
-from .signal_model import DEFAULT_EPSILON, SnpTrack, default_lambdas, estimate_sigma  # noqa: F401
+from .signal_model import DEFAULT_EPSILON, TEN_STATES, SnpTrack, default_lambdas, estimate_sigma  # noqa: F401
 
 logger = logging.getLogger(__name__)
 
@@ -298,6 +298,11 @@ def _fl_rows(args, chrom, track) -> tuple[list[str], str | None]:
     return rows, None if fit.converged else warning
 
 
+#: the end of a segment-dpi row, "\t{genotype}\t{copy number}", of each state
+#: in TEN_STATES, for lookups by ``StatePath.state_indices``
+_STATE_SUFFIXES = np.array([f"\t{s.genotype}\t{s.copy_number}" for s in TEN_STATES], dtype=object)
+
+
 def _dpi_rows(args, chrom, track) -> tuple[tuple[list[str], list[str]], None]:
     """Impute one sequence's copy numbers by DP; return its per-SNP rows
     and its constant-copy segment rows, and no warning."""
@@ -310,16 +315,16 @@ def _dpi_rows(args, chrom, track) -> tuple[tuple[list[str], list[str]], None]:
         max_rounds=args.max_rounds,
     ).path
     positions = track.positions.tolist()
-    copies = path.copy_numbers.tolist()
+    mid = f"\t{chrom}\t"
     snp_rows = [
-        f"{sid}\t{chrom}\t{p}\t{st.genotype}\t{c}"
-        for sid, p, st, c in zip(track.snp_ids, positions, path.states, copies)
+        f"{sid}{mid}{p}{suffix}"
+        for sid, p, suffix in zip(track.snp_ids, positions, _STATE_SUFFIXES[path.state_indices].tolist())
     ]
     starts = [0, *(np.flatnonzero(np.diff(path.copy_numbers)) + 1).tolist()]
-    ends = [*starts[1:], len(copies)]
+    ends = [*starts[1:], track.n]
     seg_rows = [
-        f"{chrom}\t{positions[a]}\t{positions[b - 1]}\t{b - a}\t{copies[a]}"
-        for a, b in zip(starts, ends)
+        f"{chrom}\t{positions[a]}\t{positions[b - 1]}\t{b - a}\t{c}"
+        for a, b, c in zip(starts, ends, path.copy_numbers[starts].tolist())
     ]
     return (snp_rows, seg_rows), None
 

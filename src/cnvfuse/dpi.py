@@ -18,12 +18,12 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .errors import NonFiniteInput
-from .signal_model import STATE_ARRAY, STATES_BY_COPY, CopyState, SnpTrack, _median, state_index
+from .signal_model import STATE_ARRAY, STATE_COPIES, STATES_BY_COPY, CopyState, SnpTrack, _frozen, _median, state_index
 
 #: default per-copy LogR means for Illumina-style arrays (copy 0..3)
 DEFAULT_COPY_LOGR_MEANS = (-5.5923, -0.6313, -0.0045, 0.3252)
@@ -62,17 +62,27 @@ class DpiModel:
 
 @dataclass(frozen=True)
 class StatePath:
-    """An imputed genotype sequence with its objective value."""
+    """An imputed genotype sequence with its objective value.
 
-    states: tuple[CopyState, ...]
+    ``state_indices[i]`` is the index in TEN_STATES of position i's state.
+    ``copy_numbers`` is read from it, and ``states`` (the CopyState of each
+    position) on first use.
+    """
+
+    state_indices: np.ndarray
     objective: float
-    copy_numbers: np.ndarray
+    copy_numbers: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        cn = np.asarray(self.copy_numbers, dtype=np.int64)
-        cn.flags.writeable = False
-        object.__setattr__(self, "copy_numbers", cn)
-        object.__setattr__(self, "states", tuple(self.states))
+        idx = _frozen(self.state_indices, np.int64)
+        copy_numbers = STATE_COPIES[idx]
+        copy_numbers.flags.writeable = False
+        object.__setattr__(self, "state_indices", idx)
+        object.__setattr__(self, "copy_numbers", copy_numbers)
+
+    @functools.cached_property
+    def states(self) -> tuple[CopyState, ...]:
+        return tuple(STATE_ARRAY[self.state_indices].tolist())
 
 
 @dataclass(frozen=True)
@@ -119,14 +129,14 @@ def _genotypes(baf: np.ndarray, copy_numbers: np.ndarray) -> np.ndarray:
     return geno
 
 
-def _min_plus_path(cols, pen) -> tuple[float, list[int]]:
+def _min_plus_path(cols, pen) -> tuple[float, np.ndarray]:
     """Exact minimum and first-minimum path of the four-class recursion.
 
     ``cols`` holds four arrays of non-negative stage costs, one per class,
     and ``pen[k][j]`` is the penalty for stepping from class k to class j,
     a line metric ``lambda2 * |mu_j - mu_k|``. Each step minimizes over
     the previous class with strict ``<``, so the lowest class wins ties.
-    Returns the objective and the class of every position.
+    Returns the objective and the class of every position (int64).
     """
     (
         (p00, p01, p02, p03),
@@ -151,19 +161,20 @@ def _min_plus_path(cols, pen) -> tuple[float, list[int]]:
     # Unrolled into locals because per-element numpy access dominated the
     # loop; each column must keep its order of additions and strict < (the
     # lowest class wins ties), as criterion 6 compares objectives with ==.
-    rows = zip(*[c.tolist() for c in cols])
+    # memoryviews yield each column's floats without a list copy.
+    rows = zip(*map(memoryview, cols))
     g0, g1, g2, g3 = next(rows)
     # the leader: the lowest class with the least g after the last full step
     lead = 2
     # bK is the best previous class for class K, kept pre-shifted into bits
-    # 2K..2K+1, so one SNP's backpointers pack into an int below 256: CPython
-    # caches those, and the loop allocates no object the collector counts.
-    # When the leader test passes, every class steps from the leader, which
-    # packs to 85 * leader. The leader's own step leaves out its penalty: a
-    # finite delta means a finite metric, whose p_LL is 0.0, and g + 0.0 == g
+    # 2K..2K+1, so one SNP's backpointers pack into one byte of ``back``,
+    # and the loop allocates no object the collector counts. When the
+    # leader test passes, every class steps from the leader, which packs to
+    # 85 * leader. The leader's own step leaves out its penalty: a finite
+    # delta means a finite metric, whose p_LL is 0.0, and g + 0.0 == g
     # because no g is -0.0 (each stage cost is a square plus non-negative
     # terms).
-    back = []
+    back = bytearray()
     push = back.append
     for s0, s1, s2, s3 in rows:
         if lead == 2:
@@ -276,14 +287,26 @@ def _min_plus_path(cols, pen) -> tuple[float, list[int]]:
 
     g = (g0, g1, g2, g3)
     c = int(np.argmin(g))  # argmin takes the first minimum: lowest class wins
-    objective = g[c]
-    path = [c]
-    step = path.append
-    for packed in reversed(back):
-        c = packed >> (c + c) & 3
-        step(c)
-    path.reverse()
-    return objective, path
+    return g[c], _traceback(back, c)
+
+
+def _traceback(back: bytearray, last: int) -> np.ndarray:
+    """The class of every position (int64), given the packed backpointers
+    of positions 1..n-1 and the class ``last`` of the last position.
+
+    back[i] packs the best predecessors of position i + 1, so path[i] is
+    bits 2c..2c+1 of back[i] with c = path[i + 1]. A byte 85 * L (a leader
+    step, or a full step whose four classes all chose L) pins path[i] to L
+    whatever c is, so numpy fills those in at once and only the other
+    steps, about a tenth on genome tracks, are walked, last first.
+    """
+    packed = np.frombuffer(back, np.uint8)
+    low = packed & 3
+    path = bytearray(low.tobytes())
+    path.append(last)
+    for i in np.flatnonzero(packed != low * 85)[::-1].tolist():
+        path[i] = back[i] >> 2 * path[i + 1] & 3
+    return np.frombuffer(path, np.uint8).astype(np.int64)
 
 
 def dp_impute(track: SnpTrack, model: DpiModel) -> StatePath:
@@ -299,10 +322,8 @@ def dp_impute(track: SnpTrack, model: DpiModel) -> StatePath:
         raise NonFiniteInput("track contains non-finite values")
     mu = model.mu
     pen = [[model.lambda2 * abs(mu[j] - mu[k]) for j in range(4)] for k in range(4)]
-    objective, path = _min_plus_path(_stage_columns(track, model), pen)
-    copy_numbers = np.array(path, dtype=np.int64)
-    states = tuple(STATE_ARRAY[state_index(copy_numbers, _genotypes(track.baf, copy_numbers))].tolist())
-    return StatePath(states=states, objective=objective, copy_numbers=copy_numbers)
+    objective, copy_numbers = _min_plus_path(_stage_columns(track, model), pen)
+    return StatePath(state_index(copy_numbers, _genotypes(track.baf, copy_numbers)), objective)
 
 
 def reestimate_mu(track: SnpTrack, path: StatePath, model: DpiModel) -> DpiModel:

@@ -163,9 +163,10 @@ STATES_BY_COPY: dict[int, tuple[CopyState, ...]] = {
     c: tuple(s for s in TEN_STATES if s.copy_number == c) for c in range(4)
 }
 
-#: TEN_STATES as an array, and their BAF centers with 0.0 for phi, for
-#: lookups by ``state_index``
+#: TEN_STATES as an array, their copy numbers, and their BAF centers with
+#: 0.0 for phi, for lookups by ``state_index``
 STATE_ARRAY = np.array(TEN_STATES, dtype=object)
+STATE_COPIES = np.array([s.copy_number for s in TEN_STATES])
 BAF_CENTERS = np.array([s.baf_center or 0.0 for s in TEN_STATES])
 
 

@@ -30,6 +30,7 @@ from cnvfuse.signal_model import (
     TuningConstants,
     default_lambdas,
     estimate_sigma,
+    state_index,
 )
 from cnvfuse.simulate import (
     CnvType,
@@ -365,14 +366,15 @@ def test_criterion_10_property_suites(tmp_path):
         n = 60
         track = SnpTrack.from_values(logr=rng.normal(0, 2, n), baf=rng.uniform(0, 1, n))
         copies = rng.integers(0, 4, n)
-        states = tuple(next(s for s in TEN_STATES if s.copy_number == c) for c in copies)
+        # the first genotype of each copy class
+        states = state_index(copies, 0)
         model = dpi_mod.DpiModel(
             dpi_mod.DEFAULT_COPY_LOGR_MEANS,
             float(rng.uniform(0, 1)),
             float(rng.uniform(0, 2)),
         )
         upd = dpi_mod.reestimate_mu(
-            track, dpi_mod.StatePath(states, 0.0, copies), model
+            track, dpi_mod.StatePath(states, 0.0), model
         )
         ordering_ok &= upd.mu[0] < upd.mu[1] < upd.mu[2] < upd.mu[3]
     checks["mu-ordering"] = ordering_ok

@@ -10,11 +10,12 @@ import time
 import numpy as np
 import pytest
 
-from cnvfuse import cli
+from cnvfuse import cli, pipeline
 from cnvfuse import simulate as sim
 from cnvfuse.cli import TRACK_COLUMNS, main, read_track_file
 from cnvfuse.errors import TrackFormatError
-from cnvfuse.signal_model import SnpTrack
+from cnvfuse.dpi import DEFAULT_COPY_LOGR_MEANS
+from cnvfuse.signal_model import STATES_BY_COPY, TEN_STATES, SnpTrack
 
 
 def run_cli(args):
@@ -864,6 +865,35 @@ class TestSegmentDpi:
         seg_rows = [r.split("\t") for r in seg_out.read_text().splitlines()[1:]]
         assert sum(int(r[3]) for r in seg_rows) == 500
         assert any(r[4] == "1" for r in seg_rows)
+
+    def test_rows_of_all_ten_states(self, tmp_path):
+        # noiseless blocks at each copy number's mean, BAF cycling through
+        # the class's genotype centres: the imputed path visits every state
+        mu = DEFAULT_COPY_LOGR_MEANS
+        lines = ["\t".join(TRACK_COLUMNS)]
+        for c in (2, 1, 2, 0, 2, 3, 2):
+            states = STATES_BY_COPY[c]
+            for i in range(30):
+                baf = 0.37 if c == 0 else states[i % len(states)].baf_center
+                lines.append(f"rs{len(lines)}\tchr7\t{len(lines) * 1000}\t{mu[c]!r}\t{baf!r}")
+        path = tmp_path / "ten.tsv"
+        path.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "out.tsv"
+        flags = ["--lambda1", "0.2", "--lambda2", "0.8", "--alpha", "12", "--max-rounds", "20"]
+        assert run_cli(["segment-dpi", path, *flags, "--output", out]) == 0
+        [(chrom, track)] = read_track_file(path)
+        fit = pipeline.fit_dpi(track, 0.2, 0.8, alpha=12.0, mu_init=mu, max_rounds=20)
+        assert set(fit.path.states) == set(TEN_STATES)
+        want = [
+            f"{sid}\t{chrom}\t{pos}\t{state.genotype}\t{copy}"
+            for sid, pos, state, copy in zip(
+                track.snp_ids, track.positions.tolist(), fit.path.states, fit.path.copy_numbers.tolist()
+            )
+        ]
+        assert out.read_text().splitlines()[1:] == want
+
+    def test_row_suffix_of_each_state(self):
+        assert cli._STATE_SUFFIXES.tolist() == [f"\t{s.genotype}\t{s.copy_number}" for s in TEN_STATES]
 
     def test_alpha_helps_duplications(self, tmp_path):
         # alpha=12 detects at least as many true CNV SNPs as alpha=0

@@ -6,6 +6,7 @@ the recursion exactly.
 """
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from cnvfuse.dpi import (
     StatePath,
     _min_plus_path,
     _stage_columns,
+    _traceback,
     dp_impute,
     dpi_fit,
     reestimate_mu,
@@ -69,10 +71,11 @@ def penalties(model):
     return [[model.lambda2 * abs(mu[j] - mu[k]) for j in range(4)] for k in range(4)]
 
 
-def reference_min_plus(stage_rows, pen):
+def reference_recursion(stage_rows, pen):
     """The plain form of the recursion: a loop over the four target
     classes with int8 backpointers, on an n x 4 table of stage costs.
-    Returns the objective and the copy number of every position."""
+    Returns the last position's g and back[i, j], the best class before
+    class j at position i (row 0 unused)."""
     n = len(stage_rows)
     g = list(stage_rows[0])
     back = np.empty((n, 4), dtype=np.int8)
@@ -99,6 +102,14 @@ def reference_min_plus(stage_rows, pen):
             gn[j] = best + row[j]
             back[i, j] = arg
         g = gn
+    return g, back
+
+
+def reference_min_plus(stage_rows, pen):
+    """The objective and the copy number of every position, by the
+    reference recursion and a scalar traceback."""
+    n = len(stage_rows)
+    g, back = reference_recursion(stage_rows, pen)
     c = int(np.argmin(g))
     objective = g[c]
     copy_numbers = np.empty(n, dtype=np.int64)
@@ -118,7 +129,12 @@ def reference_dp_impute(track, model):
     states = tuple(
         STATES_BY_COPY[cn][geno_idx[i, cn]] for i, cn in enumerate(copy_numbers.tolist())
     )
-    return StatePath(states=states, objective=objective, copy_numbers=copy_numbers)
+    return SimpleNamespace(states=states, objective=objective, copy_numbers=copy_numbers)
+
+
+def path_of(states, objective=0.0):
+    """The StatePath of a sequence of CopyStates."""
+    return StatePath(np.array([TEN_STATES.index(s) for s in states]), objective)
 
 
 def assert_same_path(track, model):
@@ -129,14 +145,25 @@ def assert_same_path(track, model):
     assert got.states == want.states
 
 
-def assert_same_min_plus(rows, pen):
-    """_min_plus_path on hand-built per-class columns against the reference."""
-    cols = [np.array(c, dtype=float) for c in zip(*rows)]
+def assert_same_min_plus(rows, pen, cols=None):
+    """_min_plus_path on per-class columns (by default, hand-built from
+    ``rows``) against the reference; returns the objective and the path as
+    a list."""
+    if cols is None:
+        cols = [np.array(c, dtype=float) for c in zip(*rows)]
     objective, path = _min_plus_path(cols, pen)
     want_objective, want_path = reference_min_plus(rows, pen)
     assert objective == want_objective
-    assert path == want_path.tolist()
-    return objective, path
+    assert path.dtype == np.int64
+    assert path.tolist() == want_path.tolist()
+    return objective, path.tolist()
+
+
+def pinned_steps(rows, pen):
+    """Whether the reference's four backpointers agree at each step into
+    positions 1..n-1: the kernel packs such a step into the byte 85 * L."""
+    _, back = reference_recursion(rows, pen)
+    return np.all(back[1:] == back[1:, :1], axis=1)
 
 
 class TestLosses:
@@ -422,10 +449,146 @@ class TestLeaderFastPath:
         assert path == [1, 0]
 
 
+class TestKernelEdgeCases:
+    """_min_plus_path at the edges of its byte backpointers and its numpy
+    traceback, against the reference recursion."""
+
+    PEN = penalties(DpiModel(DEFAULT_COPY_LOGR_MEANS, 0.0, 0.8))
+    # class 2 far below the rest: each step after the first into it is a
+    # leader step
+    RUN = [[50.0, 50.0, 0.0, 50.0]] * 100
+    # equal costs: the next step keeps every class where it is, a full step
+    TIE = [[0.0] * 4]
+
+    @pytest.mark.parametrize("row", [[3.0, 1.0, 2.0, 4.0], [1.0] * 4, [0.0, 5.0, 5.0, 0.0], [9.0, 9.0, 9.0, 0.5]])
+    def test_one_position(self, row):
+        # no step, so no backpointer byte
+        _, path = assert_same_min_plus([row], self.PEN)
+        assert path == [int(np.argmin(row))]
+
+    def test_two_positions(self):
+        rng = np.random.default_rng(50)
+        pinned = set()
+        for _ in range(300):
+            rows = rng.uniform(0.0, 10.0, (2, 4))
+            rows[rng.random((2, 4)) < 0.2] = 0.0
+            assert_same_min_plus(rows.tolist(), self.PEN)
+            pinned.add(bool(pinned_steps(rows.tolist(), self.PEN)[0]))
+        assert pinned == {False, True}
+
+    def test_every_step_full(self):
+        # costs far below the least penalty: every class keeps itself at
+        # every step, so no byte is 85 * L and the walk visits every step
+        rng = np.random.default_rng(51)
+        rows = rng.uniform(0.0, 1e-4, (300, 4)).tolist()
+        assert not pinned_steps(rows, self.PEN).any()
+        assert_same_min_plus(rows, self.PEN)
+
+    @pytest.mark.parametrize("leader", [0, 1, 2, 3])
+    def test_every_step_pinned(self, leader):
+        # one class far below the rest: from the second step on every step
+        # is a leader step, and the first step is a full step whose four
+        # classes all choose the leader
+        rows = np.full((300, 4), 50.0)
+        rows[:, leader] = 0.0
+        assert pinned_steps(rows.tolist(), self.PEN).all()
+        _, path = assert_same_min_plus(rows.tolist(), self.PEN)
+        assert path == [leader] * 300
+
+    @pytest.mark.parametrize("end", [0, 1, 2, 3])
+    def test_full_step_at_either_end(self, end):
+        last = [50.0] * 4
+        last[end] = 0.0
+        # after the TIE row the gaps to class 2 equal the penalties, so the
+        # leader test fails and the next step is full
+        cases = {"first": self.TIE + self.RUN, "last": self.RUN + self.TIE + [last]}
+        cases["both"] = self.TIE + cases["last"]
+        for where, rows in cases.items():
+            pinned = pinned_steps(rows, self.PEN)
+            assert (not pinned[0]) == (where != "last")
+            assert (not pinned[-1]) == (where != "first")
+            assert pinned[1:-1].all()
+            assert_same_min_plus(rows, self.PEN)
+
+    def test_strided_columns(self):
+        # columns of an n x 4 table are strided views; memoryview must read
+        # them exactly as a list copy would
+        rng = np.random.default_rng(52)
+        table = rng.uniform(0.0, 3.0, (500, 4))
+        table[rng.random((500, 4)) < 0.3] = 0.0
+        cols = [table[:, j] for j in range(4)]
+        assert not cols[0].flags.c_contiguous
+        objective, path = assert_same_min_plus(table.tolist(), self.PEN, cols=cols)
+        contiguous = _min_plus_path([c.copy() for c in cols], self.PEN)
+        assert contiguous[0] == objective
+        assert contiguous[1].tolist() == path
+
+
+def chain_walk(back, last):
+    """The scalar traceback: each position's class from the packed byte of
+    the step after it and the class after it."""
+    path = [last]
+    for packed in reversed(back):
+        path.append(packed >> 2 * path[-1] & 3)
+    return path[::-1]
+
+
+class TestStatePath:
+    """StatePath keeps state indices; states and copy numbers read from
+    them as they did when states were stored."""
+
+    @staticmethod
+    def assert_reads_as_states(path, n):
+        assert "states" not in vars(path)  # built on first read only
+        assert isinstance(path.states, tuple) and len(path.states) == n
+        assert path.states is path.states
+        assert path.states == tuple(TEN_STATES[i] for i in path.state_indices.tolist())
+        assert path.copy_numbers.dtype == np.int64
+        assert path.copy_numbers.tolist() == [s.copy_number for s in path.states]
+        assert not path.copy_numbers.flags.writeable
+        assert not path.state_indices.flags.writeable
+
+    def test_dp_impute(self):
+        spec = simulate.SimSpec(n=600, cnv_length=40, cnv_type=simulate.CnvType("dup"), seed=53)
+        track = simulate.generate(spec).track
+        model = DpiModel(DEFAULT_COPY_LOGR_MEANS, 0.2, 0.8)
+        path = dp_impute(track, model)
+        self.assert_reads_as_states(path, track.n)
+        want = reference_dp_impute(track, model)
+        assert path.states == want.states
+        assert np.array_equal(path.copy_numbers, want.copy_numbers)
+        assert reestimate_mu(track, path, model) == reestimate_mu(track, path_of(path.states), model)
+
+    def test_dpi_fit(self):
+        spec = simulate.SimSpec(n=800, cnv_length=40, cnv_type=simulate.CnvType("del1"), seed=55)
+        track = simulate.generate(spec).track
+        fit = dpi_fit(track, DpiModel(DEFAULT_COPY_LOGR_MEANS, 0.2, 0.8))
+        assert fit.rounds >= 1
+        self.assert_reads_as_states(fit.path, track.n)
+        assert np.any(fit.path.copy_numbers == 1)
+        direct = dp_impute(track, fit.model)
+        assert fit.path.objective == direct.objective
+        assert fit.path.states == direct.states
+        assert reestimate_mu(track, fit.path, fit.model) == reestimate_mu(
+            track, path_of(fit.path.states), fit.model
+        )
+
+    def test_keeps_its_own_copy(self):
+        indices = np.array([0, 4, 9, 2])
+        path = StatePath(indices, 1.5)
+        indices[:] = 3
+        assert [s.genotype for s in path.states] == ["phi", "AB", "BBB", "B"]
+        assert path.copy_numbers.tolist() == [0, 2, 3, 1]
+
+
 if given is None:
 
     @pytest.mark.skip(reason="hypothesis is not installed")
     def test_matches_reference_on_random_tracks():
+        pass
+
+    @pytest.mark.skip(reason="hypothesis is not installed")
+    def test_traceback_matches_the_chain_walk():
         pass
 
 else:
@@ -458,6 +621,21 @@ else:
     def test_matches_reference_on_random_tracks(case):
         assert_same_path(*case)
 
+    @st.composite
+    def packed_backpointers(draw):
+        # runs of the pinned bytes 0/85/170/255 and of any byte
+        byte = st.one_of(st.sampled_from([0, 85, 170, 255]), st.integers(0, 255))
+        runs = draw(st.lists(st.tuples(byte, st.integers(1, 30)), max_size=40))
+        return bytearray(b for b, k in runs for _ in range(k)), draw(st.integers(0, 3))
+
+    @settings(max_examples=500, deadline=None, derandomize=True, database=None)
+    @given(packed_backpointers())
+    def test_traceback_matches_the_chain_walk(case):
+        back, last = case
+        path = _traceback(back, last)
+        assert path.dtype == np.int64
+        assert path.tolist() == chain_walk(back, last)
+
 
 class TestReestimateMu:
     def test_all_copy_two_updates_only_mu2(self):
@@ -465,11 +643,7 @@ class TestReestimateMu:
         logr = rng.normal(0.01, 0.001, 50)
         track = make_track(logr, np.full(50, 0.5))
         model = DpiModel(DEFAULT_COPY_LOGR_MEANS, 0.1, 0.1)
-        path = StatePath(
-            states=tuple(STATE_BY_NAME["AB"] for _ in range(50)),
-            objective=0.0,
-            copy_numbers=np.full(50, 2),
-        )
+        path = path_of([STATE_BY_NAME["AB"]] * 50)
         updated = reestimate_mu(track, path, model)
         assert updated.mu[2] == pytest.approx(float(np.median(logr)))
         assert updated.mu[0] == model.mu[0]
@@ -484,7 +658,7 @@ class TestReestimateMu:
         states = tuple(
             STATE_BY_NAME["A"] if c == 1 else STATE_BY_NAME["AB"] for c in copies
         )
-        updated = reestimate_mu(track, StatePath(states, 0.0, copies), model)
+        updated = reestimate_mu(track, path_of(states), model)
         assert updated.mu[1] == model.mu[1]
 
     def test_ordering_violation_rejected(self):
@@ -496,7 +670,7 @@ class TestReestimateMu:
         states = tuple(
             STATE_BY_NAME["A"] if c == 1 else STATE_BY_NAME["AB"] for c in copies
         )
-        updated = reestimate_mu(track, StatePath(states, 0.0, copies), model)
+        updated = reestimate_mu(track, path_of(states), model)
         assert updated.mu[1] == model.mu[1]  # rejected
         assert updated.mu[0] < updated.mu[1] < updated.mu[2] < updated.mu[3]
 
@@ -510,7 +684,7 @@ class TestReestimateMu:
                 next(s for s in TEN_STATES if s.copy_number == c) for c in copies
             )
             model = random_model(rng)
-            updated = reestimate_mu(track, StatePath(states, 0.0, copies), model)
+            updated = reestimate_mu(track, path_of(states), model)
             assert updated.mu[0] < updated.mu[1] < updated.mu[2] < updated.mu[3]
 
 
