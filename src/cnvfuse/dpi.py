@@ -60,13 +60,15 @@ class DpiModel:
             raise ValueError("lambda1, lambda2, alpha must be non-negative")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StatePath:
     """An imputed genotype sequence with its objective value.
 
     ``state_indices[i]`` is the index in TEN_STATES of position i's state.
     ``copy_numbers`` is read from it, and ``states`` (the CopyState of each
-    position) on first use.
+    position) on first use. Two paths are equal when they visit the same
+    states and their objectives are equal. Like their index arrays, paths
+    are unhashable.
     """
 
     state_indices: np.ndarray
@@ -83,6 +85,13 @@ class StatePath:
     @functools.cached_property
     def states(self) -> tuple[CopyState, ...]:
         return tuple(STATE_ARRAY[self.state_indices].tolist())
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.objective == other.objective and np.array_equal(
+            self.state_indices, other.state_indices
+        )
 
 
 @dataclass(frozen=True)

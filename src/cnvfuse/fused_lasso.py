@@ -37,8 +37,13 @@ def smooth_abs(x, epsilon: float):
     return np.sqrt(np.square(x) + epsilon)
 
 
-def objective(beta, y, tc: TuningConstants) -> float:
-    """Value of the smoothed fused-lasso criterion at ``beta``."""
+def objective(beta, y, tc: TuningConstants, *, magnitudes: list | None = None) -> float:
+    """Value of the smoothed fused-lasso criterion at ``beta``.
+
+    A list passed as ``magnitudes`` receives the two arrays the penalties
+    sum, ``smooth_abs(beta)`` and ``smooth_abs(np.diff(beta))`` (the
+    second only for n > 1), for ``build_surrogate`` at the same ``beta``.
+    """
     beta = np.asarray(beta, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if beta.shape != y.shape:
@@ -47,9 +52,13 @@ def objective(beta, y, tc: TuningConstants) -> float:
     # einsum sums without BLAS: `r @ r` wakes an OpenBLAS thread that
     # spins on the other core for the rest of the solve
     value = 0.5 * float(np.einsum("i,i->", r, r))
-    value += tc.lambda1 * float(np.sum(smooth_abs(beta, tc.epsilon)))
+    norms = [smooth_abs(beta, tc.epsilon)]
     if beta.size > 1:
-        value += tc.lambda2 * float(np.sum(smooth_abs(np.diff(beta), tc.epsilon)))
+        norms.append(smooth_abs(np.diff(beta), tc.epsilon))
+    for weight, norm in zip((tc.lambda1, tc.lambda2), norms):
+        value += weight * float(np.sum(norm))
+    if magnitudes is not None:
+        magnitudes[:] = norms
     return value
 
 
@@ -90,12 +99,14 @@ class BetaFit:
     objective_trace: np.ndarray
 
 
-def build_surrogate(beta_m, y, tc: TuningConstants) -> TridiagonalSystem:
+def build_surrogate(beta_m, y, tc: TuningConstants, *, magnitudes: list | None = None) -> TridiagonalSystem:
     """Assemble the quadratic-majorizer system at the expansion point.
 
     Row i carries 1 + lambda1/||beta_i|| plus lambda2/||delta|| for each
     of the (up to two) adjacent differences; off-diagonal entries are the
-    negated fusion weights; the right-hand side is y.
+    negated fusion weights; the right-hand side is y. ``magnitudes``, as
+    ``objective`` filled it in at ``beta_m``, saves computing the norms
+    again.
     """
     beta_m = np.asarray(beta_m, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -104,8 +115,10 @@ def build_surrogate(beta_m, y, tc: TuningConstants) -> TridiagonalSystem:
         raise ValueError("surrogate needs n >= 2 (scalar case is closed-form)")
     if y.size != n:
         raise ValueError("beta_m and y must have equal length")
-    w1 = tc.lambda1 / smooth_abs(beta_m, tc.epsilon)
-    w2 = tc.lambda2 / smooth_abs(np.diff(beta_m), tc.epsilon)
+    if magnitudes is None:
+        magnitudes = (smooth_abs(beta_m, tc.epsilon), smooth_abs(np.diff(beta_m), tc.epsilon))
+    w1 = tc.lambda1 / magnitudes[0]
+    w2 = tc.lambda2 / magnitudes[1]
     diag = 1.0 + w1
     diag[:-1] += w2
     diag[1:] += w2
@@ -121,28 +134,25 @@ def thomas_solve(system: TridiagonalSystem) -> np.ndarray:
     # Both sweeps zip, because indexing lists row by row costs more than
     # the arithmetic. Memoryviews hand the inputs out one float at a time;
     # with tolist() copies of the arrays the solve took ~25% longer on
-    # a 2-vCPU VM. Row 0 takes the general step with a zero sub-diagonal
-    # entry and zero carried terms; subtracting 0.0 * 0.0 is exact, so its
-    # pivot is b_0 and its terms are c_0 / b_0 and d_0 / b_0. Keep every
-    # operation and its order: the result must stay bit-identical to the
-    # indexed loop in the tests.
-    off = memoryview(system.off)
-    rows = zip(
-        memoryview(system.diag),
-        chain((0.0,), off),
-        chain(off, (0.0,)),
-        memoryview(system.rhs),
-    )
+    # a 2-vCPU VM. Row i's sub-diagonal entry is row i - 1's
+    # super-diagonal one, so it is carried from the row before. Row 0
+    # takes the general step with a zero sub-diagonal entry and zero
+    # carried terms; subtracting 0.0 * 0.0 is exact, so its pivot is b_0
+    # and its terms are c_0 / b_0 and d_0 / b_0. Keep every operation and
+    # its order: the result must stay bit-identical to the indexed loop
+    # in the tests.
+    rows = zip(memoryview(system.diag), chain(memoryview(system.off), (0.0,)), memoryview(system.rhs))
     lo, hi = -_PIVOT_FLOOR, _PIVOT_FLOOR
-    c_prev = d_prev = 0.0
+    a_i = c_prev = d_prev = 0.0
     cp = []
     dp = []
-    for b_i, a_i, c_i, d_i in rows:
+    for b_i, c_i, d_i in rows:
         piv = b_i - a_i * c_prev
         if lo < piv < hi:
             raise ZeroPivot(f"zero pivot at row {len(dp)}")
         c_prev = c_i / piv
         d_prev = (d_i - a_i * d_prev) / piv
+        a_i = c_i
         cp.append(c_prev)
         dp.append(d_prev)
     x = dp.pop()
@@ -151,8 +161,8 @@ def thomas_solve(system: TridiagonalSystem) -> np.ndarray:
     for cp_i, dp_i in zip(reversed(cp), reversed(dp)):
         x = dp_i - cp_i * x
         out.append(x)
-    out.reverse()
-    return np.array(out)
+    # with the dtype and count given, numpy skips its type discovery pass
+    return np.fromiter(reversed(out), np.float64, len(out))
 
 
 def _solve_scalar(y0: float, tc: TuningConstants) -> BetaFit:
@@ -202,13 +212,15 @@ def _solve_mm(y, tc: TuningConstants, tol: float, max_iter: int, step) -> BetaFi
     if y.size == 1:
         return _solve_scalar(float(y[0]), tc)
 
+    # the surrogate at each iterate reuses the norms its objective summed
+    magnitudes = []
     beta = y.copy()
-    f_cur = objective(beta, y, tc)
+    f_cur = objective(beta, y, tc, magnitudes=magnitudes)
     trace = [f_cur]
     converged = False
     for _ in range(max_iter):
-        beta = step(build_surrogate(beta, y, tc), beta)
-        f_new = objective(beta, y, tc)
+        beta = step(build_surrogate(beta, y, tc, magnitudes=magnitudes), beta)
+        f_new = objective(beta, y, tc, magnitudes=magnitudes)
         trace.append(f_new)
         converged = f_cur - f_new < tol
         f_cur = f_new

@@ -43,13 +43,14 @@ def _frozen(values, dtype) -> np.ndarray:
 class SnpTrack:
     """Ordered per-SNP measurements for one sequence (chromosome arm).
 
-    snp_ids : opaque string labels, one per SNP
+    snp_ids : opaque string labels, one per SNP; None stands for the
+        labels snp0000001, snp0000002, ..., formatted on first read
     positions : strictly increasing non-negative base-pair coordinates
     logr : normalized log-intensity, ~0 at copy number 2
     baf : B-allele frequency in [0, 1]
     """
 
-    snp_ids: tuple[str, ...]
+    snp_ids: tuple[str, ...] | None
     positions: np.ndarray
     logr: np.ndarray
     baf: np.ndarray
@@ -58,30 +59,46 @@ class SnpTrack:
         positions = _frozen(self.positions, np.int64)
         logr = _frozen(self.logr, np.float64)
         baf = _frozen(self.baf, np.float64)
-        object.__setattr__(self, "snp_ids", tuple(self.snp_ids))
+        if self.snp_ids is None:
+            # __getattr__ formats the labels when they are first read
+            del self.__dict__["snp_ids"]
+            n = logr.size
+        else:
+            object.__setattr__(self, "snp_ids", tuple(self.snp_ids))
+            n = len(self.snp_ids)
         object.__setattr__(self, "positions", positions)
         object.__setattr__(self, "logr", logr)
         object.__setattr__(self, "baf", baf)
 
-        n = len(self.snp_ids)
         if n < 1:
             raise ValueError("track must contain at least one SNP")
         if not (positions.shape == logr.shape == baf.shape == (n,)):
             raise ValueError("snp_ids, positions, logr, baf must have equal length")
-        if np.any(positions < 0):
+        # array methods, not np.any/np.all: on short arms the wrappers
+        # cost more than the scans
+        if (positions < 0).any():
             raise ValueError("positions must be non-negative")
-        if n > 1 and np.any(np.diff(positions) <= 0):
+        if (positions[1:] <= positions[:-1]).any():
             raise ValueError("positions must be strictly increasing")
-        if not np.all(np.isfinite(logr)):
+        if not np.isfinite(logr).all():
             raise ValueError("logr contains non-finite values")
-        if not np.all(np.isfinite(baf)):
+        if not np.isfinite(baf).all():
             raise ValueError("baf contains non-finite values")
-        if np.any(baf < 0.0) or np.any(baf > 1.0):
+        if (baf < 0.0).any() or (baf > 1.0).any():
             raise ValueError("baf values must lie in [0, 1] (clamp on ingest)")
+
+    def __getattr__(self, name):
+        # reached only for an attribute the instance lacks: the labels of
+        # a track built without them, or a name that does not exist
+        if name != "snp_ids" or "logr" not in self.__dict__:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        labels = tuple(f"snp{i:07d}" for i in range(1, self.logr.size + 1))
+        object.__setattr__(self, "snp_ids", labels)
+        return labels
 
     @property
     def n(self) -> int:
-        return len(self.snp_ids)
+        return self.logr.size
 
     @classmethod
     def from_values(cls, logr, baf, positions=None, snp_ids=None):
@@ -89,15 +106,15 @@ class SnpTrack:
 
         Array noise occasionally overshoots [0, 1]; rejecting such tracks
         would discard whole sequences, so the load policy clamps and logs
-        a warning with the affected count.
+        a warning with the affected count. Without ``positions`` the SNPs
+        sit 5000 bp apart; without ``snp_ids`` they are labelled
+        snp0000001, snp0000002, ... when the labels are first read.
         """
         logr = np.asarray(logr, dtype=np.float64)
         baf = np.asarray(baf, dtype=np.float64)
         n = logr.size
         if positions is None:
-            positions = np.arange(1, n + 1, dtype=np.int64) * 5000
-        if snp_ids is None:
-            snp_ids = tuple(f"snp{i + 1:07d}" for i in range(n))
+            positions = np.arange(5000, 5000 * (n + 1), 5000, dtype=np.int64)
         n_clamped = int(np.count_nonzero((baf < 0.0) | (baf > 1.0)))
         if n_clamped:
             logger.warning("clamped %d BAF values outside [0, 1]", n_clamped)

@@ -2,7 +2,8 @@
 
 None of these runs in a CLI or library route: the fused-lasso gradient
 and the soft-thresholding identity (acceptance criteria 1 and 5), the
-exact solution of the non-smoothed fused-lasso criterion
+exact solution of the non-smoothed fused-lasso criterion and the MM loop
+that computes every surrogate and objective from scratch
 (tests/test_fused_lasso.py), and, for the discrete objective (criterion 6
 and tests/test_dpi.py), the per-state losses, the exhaustive search over
 every state sequence and the re-evaluation of one path.
@@ -12,7 +13,8 @@ import numpy as np
 from scipy.optimize import lsq_linear
 
 from cnvfuse.dpi import DpiModel
-from cnvfuse.fused_lasso import smooth_abs, solve_mm_tdm
+from cnvfuse import fused_lasso
+from cnvfuse.fused_lasso import BetaFit, build_surrogate, objective, smooth_abs, solve_mm_tdm
 from cnvfuse.signal_model import DEFAULT_EPSILON, TEN_STATES, CopyState, SnpTrack, TuningConstants
 
 STATE_BY_NAME = {s.genotype: s for s in TEN_STATES}
@@ -55,6 +57,31 @@ def soft_threshold_check(
     b0 = fit0.beta
     thresholded = np.sign(b0) * np.maximum(np.abs(b0) - lambda1, 0.0)
     return float(np.max(np.abs(thresholded - fit1.beta)))
+
+
+def reference_mm(y, tc: TuningConstants, tol: float, max_iter: int, step) -> BetaFit:
+    """The MM loop with nothing shared between calls: at each iterate
+    ``build_surrogate`` and ``objective`` compute their norms from scratch,
+    and ``beta = step(system, beta)`` takes the step. ``solve_mm_tdm``
+    (step ``thomas_solve``) and ``solve_mm_block`` (step
+    ``fused_lasso._block_sweep``) must return the same BetaFit bit for
+    bit. A track of one SNP has the closed-form scalar solve."""
+    y = np.asarray(y, dtype=np.float64)
+    if y.size == 1:
+        return fused_lasso._solve_scalar(float(y[0]), tc)
+    beta = y.copy()
+    f_cur = objective(beta, y, tc)
+    trace = [f_cur]
+    converged = False
+    for _ in range(max_iter):
+        beta = step(build_surrogate(beta, y, tc), beta)
+        f_new = objective(beta, y, tc)
+        trace.append(f_new)
+        converged = f_cur - f_new < tol
+        f_cur = f_new
+        if converged:
+            break
+    return BetaFit(beta, f_cur, len(trace) - 1, converged, np.asarray(trace))
 
 
 def exact_fused_lasso(y, lambda1: float, lambda2: float) -> np.ndarray:

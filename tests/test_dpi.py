@@ -6,6 +6,7 @@ the recursion exactly.
 """
 
 import math
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -579,6 +580,36 @@ class TestStatePath:
         indices[:] = 3
         assert [s.genotype for s in path.states] == ["phi", "AB", "BBB", "B"]
         assert path.copy_numbers.tolist() == [0, 2, 3, 1]
+
+    def test_paths_compare_by_states_and_objective(self):
+        path = StatePath(np.array([4, 4, 1]), 2.5)
+        same = StatePath([4, 4, 1], 2.5)
+        assert path == same and not path != same
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(path)
+        for other in (
+            StatePath(np.array([4, 4, 2]), 2.5),  # another genotype, same copy numbers
+            StatePath(np.array([4, 4, 1]), 2.75),
+            StatePath(np.array([4, 4]), 2.5),
+            StatePath(np.array([4, 4, 1, 1]), 2.5),
+        ):
+            assert path != other and not path == other
+        assert path != (path.state_indices, path.objective)
+
+    def test_fits_compare_by_path_model_and_rounds(self):
+        spec = simulate.SimSpec(n=800, cnv_length=40, cnv_type=simulate.CnvType("del1"), seed=55)
+        track = simulate.generate(spec).track
+        model = DpiModel(DEFAULT_COPY_LOGR_MEANS, 0.2, 0.8)
+        fit = dpi_fit(track, model)
+        again = dpi_fit(track, model)
+        assert fit == again and not fit != again
+        assert fit.rounds >= 1 and fit.model != model
+        for other in (
+            replace(fit, rounds=fit.rounds + 1),
+            replace(fit, model=model),
+            replace(fit, path=dp_impute(track, model)),
+        ):
+            assert fit != other
 
 
 if given is None:

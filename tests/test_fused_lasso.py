@@ -12,6 +12,8 @@ import pytest
 from cnvfuse import fused_lasso
 from cnvfuse.errors import NonFiniteInput, ZeroPivot
 from cnvfuse.fused_lasso import (
+    DEFAULT_MAX_ITER,
+    DEFAULT_TOL,
     TridiagonalSystem,
     build_surrogate,
     objective,
@@ -23,7 +25,7 @@ from cnvfuse.fused_lasso import (
 from cnvfuse.signal_model import TuningConstants
 from cnvfuse.simulate import CnvType, SimSpec, generate
 
-from oracles import exact_fused_lasso, exact_objective, gradient, soft_threshold_check
+from oracles import exact_fused_lasso, exact_objective, gradient, reference_mm, soft_threshold_check
 
 
 def dense_matrix(system):
@@ -286,6 +288,91 @@ class TestThomasEquivalence:
             diag=np.array(diag), off=np.array(off), rhs=np.ones(len(diag)),
         )
         assert_same_bits(thomas_solve(system), reference_thomas_solve(system))
+
+
+def assert_same_fit(fit, ref):
+    assert_same_bits(fit.beta, ref.beta)
+    assert fit.objective == ref.objective
+    assert_same_bits(fit.objective_trace, ref.objective_trace)
+    assert fit.iterations == ref.iterations
+    assert fit.converged == ref.converged
+
+
+#: each solver with the step the reference loop takes in its place
+SOLVERS = (
+    (solve_mm_tdm, lambda system, beta: thomas_solve(system)),
+    (solve_mm_block, fused_lasso._block_sweep),
+)
+
+
+def stepped_logr(rng, n):
+    """LogR of a track with a few CNV-sized level changes plus noise."""
+    levels = rng.choice([-0.63, 0.0, 0.0, 0.33], size=max(1, n // 40))
+    return np.repeat(levels, -(-n // levels.size))[:n] + rng.normal(0, 0.25, n)
+
+
+class TestMmLoopAgainstReference:
+    """Both solvers against ``oracles.reference_mm``, whose surrogate and
+    objective compute their norms from scratch at every iterate: the
+    solvers reuse the objective's norms for the next surrogate, and must
+    give the same fit bit for bit."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_shortest_tracks(self, n):
+        rng = np.random.default_rng(300 + n)
+        for _ in range(20):
+            y = rng.normal(0.0, 2.0, n)
+            tc = TuningConstants(*rng.uniform(0.0, 2.0, 2))
+            for solve, step in SOLVERS:
+                assert_same_fit(solve(y, tc), reference_mm(y, tc, DEFAULT_TOL, DEFAULT_MAX_ITER, step))
+
+    @pytest.mark.parametrize("n,seed", [(50, 1), (137, 2), (800, 3), (2400, 4), (5000, 5)])
+    def test_random_tracks(self, n, seed):
+        rng = np.random.default_rng(seed)
+        y = stepped_logr(rng, n)
+        sigma = rng.uniform(0.1, 0.4)
+        lam2 = 2 * sigma * np.sqrt(np.log(n))
+        for tc in (TuningConstants(sigma, lam2), TuningConstants(0.0, lam2)):
+            fit = solve_mm_tdm(y, tc)
+            assert fit.converged
+            assert_same_fit(fit, reference_mm(y, tc, DEFAULT_TOL, DEFAULT_MAX_ITER, SOLVERS[0][1]))
+            # the block sweep would need thousands of iterations: capped
+            fit = solve_mm_block(y, tc, max_iter=60)
+            assert_same_fit(fit, reference_mm(y, tc, DEFAULT_TOL, 60, SOLVERS[1][1]))
+
+    def test_fit_capped_by_max_iter(self):
+        rng = np.random.default_rng(6)
+        y = stepped_logr(rng, 3000)
+        tc = TuningConstants(0.2, 0.2 * 2 * np.sqrt(np.log(y.size)))
+        for solve, step in SOLVERS:
+            fit = solve(y, tc, tol=1e-9, max_iter=4)
+            assert fit.iterations == 4 and not fit.converged
+            assert_same_fit(fit, reference_mm(y, tc, 1e-9, 4, step))
+
+    def test_simulated_track(self):
+        y = simulated_logr(13000, 8, CnvType.DELETION0)
+        tc = TuningConstants(0.2, 0.2 * 2 * np.sqrt(np.log(y.size)))
+        fit = solve_mm_tdm(y, tc)
+        assert fit.converged and fit.iterations > 10
+        assert_same_fit(fit, reference_mm(y, tc, DEFAULT_TOL, DEFAULT_MAX_ITER, SOLVERS[0][1]))
+        fit = solve_mm_block(y, tc, max_iter=30)
+        assert_same_fit(fit, reference_mm(y, tc, DEFAULT_TOL, 30, SOLVERS[1][1]))
+
+    @pytest.mark.parametrize("n", [1, 2, 500])
+    def test_objective_hands_out_the_surrogates_norms(self, n):
+        rng = np.random.default_rng(n)
+        beta, y = rng.normal(size=n), rng.normal(size=n)
+        tc = TuningConstants(0.3, 0.7)
+        magnitudes = [np.zeros(3)]  # replaced, not appended to
+        assert objective(beta, y, tc, magnitudes=magnitudes) == objective(beta, y, tc)
+        assert len(magnitudes) == min(n, 2)
+        assert_same_bits(magnitudes[0], smooth_abs(beta, tc.epsilon))
+        if n > 1:
+            assert_same_bits(magnitudes[1], smooth_abs(np.diff(beta), tc.epsilon))
+            shared = build_surrogate(beta, y, tc, magnitudes=magnitudes)
+            own = build_surrogate(beta, y, tc)
+            for field in ("diag", "off", "rhs"):
+                assert_same_bits(getattr(shared, field), getattr(own, field))
 
 
 class TestSolveMmTdm:

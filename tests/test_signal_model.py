@@ -1,11 +1,13 @@
 """Tests for domain types, noise estimation, and default tuning constants."""
 
 import math
+import pickle
 
 import numpy as np
 import pytest
 from scipy import stats
 
+from cnvfuse.cli import _split_track
 from cnvfuse.errors import DegenerateSignal, TooFewSnps
 from cnvfuse.signal_model import (
     BAF_CENTERS,
@@ -210,6 +212,72 @@ class TestSnpTrack:
         track = SnpTrack.from_values(logr=y, baf=np.full(3, 0.5))
         assert track.logr is y
 
+
+
+def labels(n):
+    return tuple(f"snp{i:07d}" for i in range(1, n + 1))
+
+
+class TestDefaultLabels:
+    """A track built without snp_ids formats its labels on first read."""
+
+    def test_read_back(self):
+        track = make_track(np.zeros(12))
+        assert "snp_ids" not in vars(track)
+        ids = track.snp_ids
+        assert "snp_ids" in vars(track) and track.snp_ids is ids
+        assert ids == labels(12) and isinstance(ids, tuple)
+        assert len(ids) == track.n == 12
+        assert ids[0] == "snp0000001" and ids[9] == "snp0000010" and ids[-1] == "snp0000012"
+        assert ids[3:6] == ("snp0000004", "snp0000005", "snp0000006")
+        assert ids[::-5] == ("snp0000012", "snp0000007", "snp0000002")
+        assert list(ids) == [f"snp{i:07d}" for i in range(1, 13)]
+
+    def test_equal_to_the_track_with_explicit_labels(self):
+        track = make_track(np.zeros(5))
+        # read-only arrays are shared, so == compares them by identity
+        explicit = SnpTrack(labels(5), track.positions, track.logr, track.baf)
+        assert track == explicit and explicit == track
+        assert SnpTrack(None, track.positions, track.logr, track.baf) == track
+        assert track != SnpTrack(("a",) * 5, track.positions, track.logr, track.baf)
+
+    def test_pickle_round_trip(self):
+        track = make_track(np.linspace(-1.0, 1.0, 7))
+        unread = pickle.loads(pickle.dumps(track))
+        assert "snp_ids" not in vars(track) and "snp_ids" not in vars(unread)
+        assert unread.snp_ids == labels(7)
+        assert track.snp_ids == labels(7)
+        read = pickle.loads(pickle.dumps(track))
+        assert vars(read)["snp_ids"] == labels(7)
+        assert np.array_equal(read.logr, track.logr) and np.array_equal(read.positions, track.positions)
+
+    def test_split_pieces_keep_their_labels(self):
+        track = make_track(np.zeros(10))  # positions 5000, 10000, ..., 50000
+        pieces = _split_track(track, [12000, 40000])
+        assert [piece.snp_ids for piece in pieces] == [labels(10)[:2], labels(10)[2:7], labels(10)[7:]]
+        assert [piece.positions.tolist() for piece in pieces] == [
+            [5000, 10000], [15000, 20000, 25000, 30000, 35000], [40000, 45000, 50000],
+        ]
+
+    def test_long_track_formats_no_label_until_read(self):
+        n = 100_000
+        track = make_track(np.random.default_rng(3).normal(0.0, 0.2, n))
+        estimate_sigma(track)
+        assert track.n == n and track.logr.size == n
+        assert "snp_ids" not in vars(track)
+        assert track.snp_ids[-1] == "snp0100000" and len(track.snp_ids) == n
+
+    def test_missing_attribute_still_raises(self):
+        track = make_track(np.zeros(3))
+        with pytest.raises(AttributeError, match="'SnpTrack' object has no attribute 'labels'"):
+            track.labels
+        assert "snp_ids" not in vars(track)
+
+    def test_unequal_lengths_still_rejected(self):
+        with pytest.raises(ValueError, match="equal length"):
+            SnpTrack(None, np.array([1, 2, 3]), np.zeros(2), np.full(2, 0.5))
+        with pytest.raises(ValueError, match="at least one SNP"):
+            SnpTrack(None, np.array([], dtype=np.int64), np.zeros(0), np.zeros(0))
 
 class TestTuningConstants:
     def test_rejects_negative_lambda(self):

@@ -25,9 +25,22 @@ It runs the same commands with ``PYTHONPATH=OLD_SRC`` and
 
 For each command it compares the exit status, stdout, stderr and every
 file written; a file that neither side writes counts as the same, one
-that only one side writes as a difference. It prints one line per
-command and exits 1 on any difference. Nothing is written outside the
-temporary directory.
+that only one side writes as a difference.
+
+One more case calls the library instead of the CLI. A subprocess per
+source tree fits every arm of perfbench's arm corpus for seed 1 (the
+``corpus.npz`` that ``gen.py`` wrote) through both routes, with the calls
+perfbench's ``arm-corpus`` workload makes: ``SnpTrack.from_values``,
+``estimate_sigma``, ``default_lambdas``, ``solve_mm_tdm``, ``call_cnvs``,
+``merge_adjacent_calls`` and ``dpi_fit`` with the default means. It
+prints one SHA-256 digest of every output: the fused-lasso estimate's
+bytes, its objective, objective trace, iteration count and convergence
+flag, sigma, the lambdas and the called segments, and the DPI path's
+state indices and objective, the re-estimated model and the round count.
+The two digests, exit statuses and stderr must match.
+
+The script prints one line per case and exits 1 on any difference.
+Nothing is written outside the temporary directory.
 """
 
 from __future__ import annotations
@@ -107,6 +120,53 @@ def run(src: str, workdir: str, argv: list[str], files: list[str]) -> dict:
     return out
 
 
+def library_digest(corpus_path: str) -> str:
+    """Fit each arm of a perfbench corpus file through both routes with
+    the ``cnvfuse`` on the import path; return the digest of every output."""
+    import hashlib
+
+    import numpy as np
+
+    import cnvfuse
+    from cnvfuse.dpi import DEFAULT_COPY_LOGR_MEANS
+
+    with np.load(corpus_path) as z:
+        offsets, logr, baf = z["offsets"].tolist(), z["logr"], z["baf"]
+    h = hashlib.sha256()
+    for a, b in zip(offsets, offsets[1:]):
+        try:
+            track = cnvfuse.SnpTrack.from_values(logr=logr[a:b], baf=baf[a:b])
+            sigma = cnvfuse.estimate_sigma(track)
+            lam1, lam2 = cnvfuse.default_lambdas(sigma, track.n)
+            fit = cnvfuse.solve_mm_tdm(track.logr, cnvfuse.TuningConstants(lam1, lam2))
+            segments = cnvfuse.merge_adjacent_calls(fit.beta, cnvfuse.call_cnvs(fit.beta, sigma), sigma)
+            dp = cnvfuse.dpi_fit(track, cnvfuse.DpiModel(DEFAULT_COPY_LOGR_MEANS, lam1, lam2))
+        except (cnvfuse.CnvFuseError, ValueError) as exc:
+            h.update(repr(exc).encode())
+            continue
+        h.update(repr((sigma, lam1, lam2, segments, fit.objective, fit.iterations, fit.converged)).encode())
+        h.update(fit.beta.tobytes())
+        h.update(fit.objective_trace.tobytes())
+        h.update(repr((dp.path.objective, dp.model, dp.rounds)).encode())
+        h.update(dp.path.state_indices.tobytes())
+    return f"{h.hexdigest()}  {len(offsets) - 1} arms"
+
+
+def run_library(src: str, corpus_path: str) -> dict:
+    """``library_digest`` in a fresh interpreter that imports ``src``."""
+    code = "import sys, compare_outputs; print(compare_outputs.library_digest(sys.argv[1]))"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([os.path.abspath(src), os.path.join(REPO, "tools")])}
+    proc = subprocess.run([sys.executable, "-c", code, corpus_path], env=env, capture_output=True)
+    return {"exit status": proc.returncode, "stdout": proc.stdout, "stderr": proc.stderr}
+
+
+def report(name: str, old: dict, new: dict) -> bool:
+    """Print one line for a case; return whether its outputs differ."""
+    diffs = [what for what in old if old[what] != new[what]]
+    print(f"{'DIFFER' if diffs else 'same  '}  {name}" + (f": {', '.join(diffs)}" if diffs else ""))
+    return bool(diffs)
+
+
 def main(argv=None) -> int:
     args = sys.argv[1:] if argv is None else argv
     if len(args) != 2:
@@ -134,10 +194,11 @@ def main(argv=None) -> int:
         for name, cmd, files in cases(inputs):
             old = run(old_src, os.path.join(tmp, "old"), cmd, files)
             new = run(new_src, os.path.join(tmp, "new"), cmd, files)
-            diffs = [what for what in old if old[what] != new[what]]
-            differ += bool(diffs)
-            print(f"{'DIFFER' if diffs else 'same  '}  {name}" + (f": {', '.join(diffs)}" if diffs else ""))
-    print(f"{differ} command(s) differ" if differ else "all outputs identical")
+            differ += report(name, old, new)
+        corpus = os.path.join(inputs[1], "corpus.npz")
+        old, new = (run_library(src, corpus) for src in (old_src, new_src))
+        differ += report("library: both routes on the arm corpus of seed 1", old, new)
+    print(f"{differ} case(s) differ" if differ else "all outputs identical")
     return 1 if differ else 0
 
 
