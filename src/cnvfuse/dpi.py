@@ -23,7 +23,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import NonFiniteInput
-from .signal_model import STATE_ARRAY, STATE_COPIES, STATES_BY_COPY, CopyState, SnpTrack, _frozen, _median, state_index
+from .signal_model import STATE_ARRAY, STATE_COPIES, CopyState, SnpTrack, _fields_equal, _frozen, _median, state_index
 
 #: default per-copy LogR means for Illumina-style arrays (copy 0..3)
 DEFAULT_COPY_LOGR_MEANS = (-5.5923, -0.6313, -0.0045, 0.3252)
@@ -73,7 +73,7 @@ class StatePath:
 
     state_indices: np.ndarray
     objective: float
-    copy_numbers: np.ndarray = field(init=False)
+    copy_numbers: np.ndarray = field(init=False, compare=False)
 
     def __post_init__(self):
         idx = _frozen(self.state_indices, np.int64)
@@ -86,12 +86,7 @@ class StatePath:
     def states(self) -> tuple[CopyState, ...]:
         return tuple(STATE_ARRAY[self.state_indices].tolist())
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.objective == other.objective and np.array_equal(
-            self.state_indices, other.state_indices
-        )
+    __eq__ = _fields_equal
 
 
 @dataclass(frozen=True)
@@ -106,36 +101,11 @@ class DpiFit:
 def _stage_columns(track: SnpTrack, model: DpiModel) -> list[np.ndarray]:
     """Per-position stage cost of each copy class, one array per class:
     ``((y - mu_j)**2 + alpha * l2_j) + lambda1 * |mu_j|``, where ``l2_j``
-    is the least BAF loss over the class's genotypes (for copy 0, the
-    integral over Uniform(0, 1))."""
-    x = track.baf
-    l2 = [(x**3 + (1.0 - x) ** 3) / 3.0] + [
-        functools.reduce(np.minimum, [(x - s.baf_center) ** 2 for s in STATES_BY_COPY[c]])
-        for c in (1, 2, 3)
-    ]
+    is the class's least BAF loss from the track's genotype table."""
     return [
         ((track.logr - mu) ** 2 + model.alpha * l2_j) + model.lambda1 * abs(mu)
-        for mu, l2_j in zip(model.mu, l2)
+        for mu, l2_j in zip(model.mu, track.genotype_fit[0])
     ]
-
-
-def _genotypes(baf: np.ndarray, copy_numbers: np.ndarray) -> np.ndarray:
-    """Index, within its copy class, of each position's best genotype: the
-    first of the class's genotypes with the least BAF loss."""
-    geno = np.zeros(len(baf), dtype=np.int64)
-    for c in (1, 2, 3):
-        at = np.flatnonzero(copy_numbers == c)
-        if at.size:
-            x = baf[at]
-            first, *rest = STATES_BY_COPY[c]
-            least = (x - first.baf_center) ** 2
-            idx = np.zeros(at.size, dtype=np.int64)
-            for k, state in enumerate(rest, start=1):
-                loss = (x - state.baf_center) ** 2
-                idx[loss < least] = k  # strict: an earlier genotype keeps a tie
-                np.minimum(least, loss, out=least)
-            geno[at] = idx
-    return geno
 
 
 def _min_plus_path(cols, pen) -> tuple[float, np.ndarray]:
@@ -332,7 +302,8 @@ def dp_impute(track: SnpTrack, model: DpiModel) -> StatePath:
     mu = model.mu
     pen = [[model.lambda2 * abs(mu[j] - mu[k]) for j in range(4)] for k in range(4)]
     objective, copy_numbers = _min_plus_path(_stage_columns(track, model), pen)
-    return StatePath(state_index(copy_numbers, _genotypes(track.baf, copy_numbers)), objective)
+    genotypes = track.genotype_fit[1][copy_numbers, np.arange(track.n)]
+    return StatePath(state_index(copy_numbers, genotypes), objective)
 
 
 def reestimate_mu(track: SnpTrack, path: StatePath, model: DpiModel) -> DpiModel:

@@ -23,7 +23,7 @@ from itertools import chain
 import numpy as np
 
 from .errors import NonFiniteInput, ZeroPivot
-from .signal_model import TuningConstants
+from .signal_model import TuningConstants, _fields_equal
 
 DEFAULT_TOL = 1e-4
 DEFAULT_MAX_ITER = 10000
@@ -62,7 +62,7 @@ def objective(beta, y, tc: TuningConstants, *, magnitudes: list | None = None) -
     return value
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TridiagonalSystem:
     """Symmetric tridiagonal system A x = rhs.
 
@@ -82,8 +82,10 @@ class TridiagonalSystem:
         if self.off.size != n - 1:
             raise ValueError("off-diagonal must have length n - 1")
 
+    __eq__ = _fields_equal
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, eq=False)
 class BetaFit:
     """Solver output: the estimate plus convergence diagnostics.
 
@@ -97,6 +99,8 @@ class BetaFit:
     iterations: int
     converged: bool
     objective_trace: np.ndarray
+
+    __eq__ = _fields_equal
 
 
 def build_surrogate(beta_m, y, tc: TuningConstants, *, magnitudes: list | None = None) -> TridiagonalSystem:

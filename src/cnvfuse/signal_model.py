@@ -8,9 +8,10 @@ the penalty weights.
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -39,7 +40,22 @@ def _frozen(values, dtype) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True)
+def _fields_equal(self, other):
+    """``__eq__`` of a dataclass holding numpy arrays: ``other`` is of the
+    same class and every compared field is equal, arrays by
+    ``np.array_equal``. A class built with ``eq=False`` that takes it as
+    its ``__eq__`` is unhashable, like its arrays."""
+    if other.__class__ is not self.__class__:
+        return NotImplemented
+    for f in fields(self):
+        if f.compare:
+            a, b = getattr(self, f.name), getattr(other, f.name)
+            if not (np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b):
+                return False
+    return True
+
+
+@dataclass(frozen=True, eq=False)
 class SnpTrack:
     """Ordered per-SNP measurements for one sequence (chromosome arm).
 
@@ -48,6 +64,8 @@ class SnpTrack:
     positions : strictly increasing non-negative base-pair coordinates
     logr : normalized log-intensity, ~0 at copy number 2
     baf : B-allele frequency in [0, 1]
+
+    Tracks compare by value and are unhashable.
     """
 
     snp_ids: tuple[str, ...] | None
@@ -96,9 +114,33 @@ class SnpTrack:
         object.__setattr__(self, "snp_ids", labels)
         return labels
 
+    __eq__ = _fields_equal
+
     @property
     def n(self) -> int:
         return self.logr.size
+
+    @functools.cached_property
+    def genotype_fit(self) -> tuple[np.ndarray, np.ndarray]:
+        """Each copy class's least BAF loss per SNP (copy 0: the expected
+        squared distance to a Uniform(0, 1) draw) and the index in
+        STATES_BY_COPY[c] of the first genotype with that loss, as two
+        read-only (4, n) arrays, float64 and uint8. They depend on the BAF
+        alone: built on first read, they are kept (36 bytes per SNP)."""
+        x = self.baf
+        least = np.empty((4, x.size))
+        pick = np.zeros((4, x.size), dtype=np.uint8)
+        least[0] = (x**3 + (1.0 - x) ** 3) / 3.0
+        for c in (1, 2, 3):
+            first, *rest = STATES_BY_COPY[c]
+            least[c] = (x - first.baf_center) ** 2
+            for k, state in enumerate(rest, start=1):
+                loss = (x - state.baf_center) ** 2
+                np.copyto(pick[c], k, where=loss < least[c])  # strict: an earlier genotype keeps a tie
+                np.minimum(least[c], loss, out=least[c])
+        least.flags.writeable = False
+        pick.flags.writeable = False
+        return least, pick
 
     @classmethod
     def from_values(cls, logr, baf, positions=None, snp_ids=None):

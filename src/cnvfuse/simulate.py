@@ -22,7 +22,7 @@ from . import dpi as dpi_mod
 from . import fused_lasso as fl
 from . import pipeline
 from . import segment_caller as sc
-from .signal_model import BAF_CENTERS, DEFAULT_EPSILON, STATE_ARRAY, CopyState, SnpTrack, state_index
+from .signal_model import BAF_CENTERS, DEFAULT_EPSILON, STATE_ARRAY, CopyState, SnpTrack, _fields_equal, state_index
 
 
 class CnvType(enum.Enum):
@@ -82,7 +82,7 @@ class SimSpec:
         return (self.n - self.cnv_length) // 2
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TruthTrack:
     """A simulated track together with its ground truth."""
 
@@ -97,6 +97,8 @@ class TruthTrack:
         object.__setattr__(self, "true_genotype", tuple(self.true_genotype))
         if not (tc.size == self.track.n == len(self.true_genotype)):
             raise ValueError("truth annotations must match the track length")
+
+    __eq__ = _fields_equal
 
 
 def generate(spec: SimSpec) -> TruthTrack:

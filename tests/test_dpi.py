@@ -744,6 +744,17 @@ class TestDpiFit:
         assert np.array_equal(fit.path.copy_numbers, direct.copy_numbers)
         assert fit.path.objective == direct.objective
 
+    def test_builds_the_genotype_table_once(self, monkeypatch):
+        # LogR above the default copy-2 mean: the means move for rounds
+        rng = np.random.default_rng(0)
+        track = make_track(rng.normal(0.1, 0.1, 300), np.clip(rng.normal(0.5, 0.1, 300), 0, 1))
+        built = []
+        build = SnpTrack.genotype_fit.func
+        monkeypatch.setattr(SnpTrack.genotype_fit, "func", lambda t: built.append(t) or build(t))
+        fit = dpi_fit(track, DpiModel(DEFAULT_COPY_LOGR_MEANS, 0.2, 0.8))
+        assert fit.rounds >= 2
+        assert len(built) == 1 and built[0] is track
+
     def test_simulated_track_stabilizes(self):
         rng = np.random.default_rng(31)
         n = 800

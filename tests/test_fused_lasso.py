@@ -5,6 +5,8 @@ numpy.linalg.solve for the tridiagonal solve, and plain gradient descent
 on the smooth criterion for the full solver.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import numpy.linalg as la
 import pytest
@@ -132,6 +134,25 @@ class TestBuildSurrogate:
         offsum[:-1] += np.abs(s.off)
         offsum[1:] += np.abs(s.off)
         assert np.all(s.diag - offsum >= 1.0)  # identity plus lambda1 slack
+
+    def test_systems_compare_arrays_by_value(self):
+        rng = np.random.default_rng(3)
+        beta_m, y = rng.normal(size=6), rng.normal(size=6)
+        tc = TuningConstants(0.5, 2.0)
+        system = build_surrogate(beta_m, y, tc)
+        same = build_surrogate(beta_m.copy(), y.copy(), tc)
+        assert system.diag is not same.diag and system.rhs is not same.rhs
+        assert system == same and not system != same
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(system)
+        for other in (
+            replace(system, diag=system.diag + 1.0),
+            replace(system, off=-system.off),
+            replace(system, rhs=system.rhs[::-1]),
+            build_surrogate(beta_m[:5], y[:5], tc),
+        ):
+            assert system != other and not system == other
+        assert system != (system.diag, system.off, system.rhs)
 
 
 class TestThomasSolve:
@@ -376,6 +397,25 @@ class TestMmLoopAgainstReference:
 
 
 class TestSolveMmTdm:
+    def test_fits_compare_arrays_by_value(self):
+        y = simulated_logr(300, 7)
+        tc = TuningConstants(0.1, 0.5)
+        fit = solve_mm_tdm(y, tc)
+        same = solve_mm_tdm(y.copy(), tc)
+        assert fit.beta is not same.beta and fit.objective_trace is not same.objective_trace
+        assert fit == same and not fit != same
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(fit)
+        for other in (
+            replace(fit, beta=np.nextafter(fit.beta, np.inf)),
+            replace(fit, objective=2.0 * fit.objective),
+            replace(fit, iterations=fit.iterations + 1),
+            replace(fit, converged=not fit.converged),
+            replace(fit, objective_trace=fit.objective_trace[:-1]),
+            solve_mm_tdm(y, tc, max_iter=3),
+        ):
+            assert fit != other and not fit == other
+
     def test_zero_data(self):
         fit = solve_mm_tdm(np.zeros(100), TuningConstants(0.8, 0.5))
         assert fit.converged

@@ -7,6 +7,11 @@ import numpy as np
 import pytest
 from scipy import stats
 
+try:
+    from hypothesis import given, settings, strategies as st
+except ImportError:  # the property test is skipped without hypothesis
+    given = None
+
 from cnvfuse.cli import _split_track
 from cnvfuse.errors import DegenerateSignal, TooFewSnps
 from cnvfuse.signal_model import (
@@ -25,6 +30,8 @@ from cnvfuse.signal_model import (
     state_index,
     trimmed_std,
 )
+
+from oracles import class_baf_losses
 
 
 def make_track(logr, baf=None):
@@ -212,6 +219,77 @@ class TestSnpTrack:
         track = SnpTrack.from_values(logr=y, baf=np.full(3, 0.5))
         assert track.logr is y
 
+    def test_compares_arrays_by_value(self):
+        rng = np.random.default_rng(5)
+        y, x = rng.normal(0.0, 1.0, 6), rng.uniform(0.0, 1.0, 6)
+        track = SnpTrack.from_values(logr=y, baf=x)
+        same = SnpTrack.from_values(logr=y.copy(), baf=x.copy(), snp_ids=labels(6))
+        assert track.logr is not same.logr
+        track.genotype_fit  # a built table takes no part
+        assert track == same and not track != same
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(track)
+        for other in (
+            SnpTrack.from_values(logr=y + 1e-9, baf=x),
+            SnpTrack.from_values(logr=y, baf=x[::-1]),
+            SnpTrack.from_values(logr=y, baf=x, positions=np.arange(1, 7)),
+            SnpTrack.from_values(logr=y[:5], baf=x[:5]),
+            SnpTrack.from_values(logr=y, baf=x, snp_ids=("a",) * 6),
+        ):
+            assert track != other and not track == other
+        assert track != (track.snp_ids, track.positions, track.logr, track.baf)
+
+
+# BAF centres of each copy class's genotypes, and every centre and every
+# midpoint between two centres of one class, as float64 computes them
+CLASS_CENTRES = [[s.baf_center for s in STATES_BY_COPY[c]] for c in (1, 2, 3)]
+TIE_BAF = sorted({x for cs in CLASS_CENTRES for x in (*cs, *((a + b) / 2.0 for a, b in zip(cs, cs[1:])))})
+
+
+class TestGenotypeTable:
+    """Each copy class's least BAF loss and first genotype with it, against
+    the literal per-genotype table of the oracle."""
+
+    @staticmethod
+    def assert_matches_the_oracle(baf):
+        track = make_track(np.zeros(len(baf)), baf)
+        least, pick = track.genotype_fit
+        want_least, want_pick = class_baf_losses(track.baf)
+        assert least.shape == pick.shape == (4, track.n)
+        assert least.tobytes() == np.ascontiguousarray(want_least.T).tobytes()
+        assert pick.tolist() == want_pick.T.tolist()
+
+    def test_centres_and_midpoints(self):
+        assert TIE_BAF[:4] == [0.0, 1.0 / 6.0, 0.25, 1.0 / 3.0] and len(TIE_BAF) == 9
+        self.assert_matches_the_oracle(TIE_BAF)
+        # ties the first genotype must win: A over B at 0.5, AA over AB at
+        # 0.25, AAA over AAB at 1/6
+        least, pick = make_track(np.zeros(3), [0.5, 0.25, 1.0 / 6.0]).genotype_fit
+        assert [least[1, 0], least[2, 1], least[3, 2]] == [0.25, 0.0625, (1.0 / 6.0) ** 2]
+        assert [pick[1, 0], pick[2, 1], pick[3, 2]] == [0, 0, 0]
+
+    def test_built_once_read_only(self):
+        track = make_track(np.zeros(50), np.linspace(0.0, 1.0, 50))
+        assert "genotype_fit" not in vars(track)
+        least, pick = track.genotype_fit
+        assert track.genotype_fit[0] is least and track.genotype_fit[1] is pick
+        assert least.dtype == np.float64 and pick.dtype == np.uint8
+        assert least.nbytes + pick.nbytes == 36 * track.n
+        assert not least.flags.writeable and not pick.flags.writeable
+
+    if given is None:
+
+        @pytest.mark.skip(reason="hypothesis is not installed")
+        def test_random_baf(self):
+            pass
+
+    else:
+
+        @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+        @given(st.lists(st.one_of(st.floats(0.0, 1.0), st.sampled_from(TIE_BAF)), min_size=1, max_size=60))
+        def test_random_baf(self, baf):
+            self.assert_matches_the_oracle(baf)
+
 
 
 def labels(n):
@@ -235,7 +313,6 @@ class TestDefaultLabels:
 
     def test_equal_to_the_track_with_explicit_labels(self):
         track = make_track(np.zeros(5))
-        # read-only arrays are shared, so == compares them by identity
         explicit = SnpTrack(labels(5), track.positions, track.logr, track.baf)
         assert track == explicit and explicit == track
         assert SnpTrack(None, track.positions, track.logr, track.baf) == track

@@ -3,6 +3,7 @@
 import hashlib
 import logging
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -90,6 +91,20 @@ class TestGenerate:
         np.testing.assert_array_equal(a.true_copy, b.true_copy)
         c = generate(SimSpec(n=500, cnv_length=25, seed=78))
         assert not np.array_equal(a.track.logr, c.track.logr)
+
+    def test_truth_tracks_compare_by_value(self):
+        spec = SimSpec(n=500, cnv_length=25, seed=77)
+        a, b = generate(spec), generate(spec)
+        assert a.true_copy is not b.true_copy and a.track.logr is not b.track.logr
+        assert a == b and not a != b
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(a)
+        for other in (
+            generate(replace(spec, seed=78)),  # the same truth, another track
+            replace(a, true_copy=np.where(a.true_copy == 1, 2, a.true_copy)),
+            replace(a, true_genotype=a.true_genotype[::-1]),
+        ):
+            assert a != other and not a == other
 
     def test_genotypes_follow_copy_number(self):
         spec = SimSpec(n=1000, cnv_length=100, cnv_type=CnvType.DUPLICATION, seed=8)

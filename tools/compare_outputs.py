@@ -37,7 +37,11 @@ prints one SHA-256 digest of every output: the fused-lasso estimate's
 bytes, its objective, objective trace, iteration count and convergence
 flag, sigma, the lambdas and the called segments, and the DPI path's
 state indices and objective, the re-estimated model and the round count.
-The two digests, exit statuses and stderr must match.
+One more track goes through the same calls after the corpus: its BAF
+values sit on every genotype centre and on every midpoint between two
+centres of one copy class, where the class's genotypes tie, so a change
+to the rule that picks among tied genotypes changes the digest. The two
+digests, exit statuses and stderr must match.
 
 The script prints one line per case and exits 1 on any difference.
 Nothing is written outside the temporary directory.
@@ -55,6 +59,10 @@ REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SEEDS = (1, 2, 3)
 # appended to each genome as genome_2snp.tsv: too short for a sigma estimate
 SHORT_CHROM = "x1\t7\t1000\t0.1\t0.5\nx2\t7\t2000\t-0.2\t0.3\n"
+# BAF centres of the genotypes of copy number 1, 2 and 3
+CLASS_CENTRES = ((0.0, 1.0), (0.0, 0.5, 1.0), (0.0, 1.0 / 3.0, 2.0 / 3.0, 1.0))
+# the centres and the midpoints between neighbouring centres of one class
+TIE_BAF = sorted({x for cs in CLASS_CENTRES for x in (*cs, *((a + b) / 2.0 for a, b in zip(cs, cs[1:])))})
 
 
 def cases(inputs: dict[int, str]):
@@ -132,10 +140,16 @@ def library_digest(corpus_path: str) -> str:
 
     with np.load(corpus_path) as z:
         offsets, logr, baf = z["offsets"].tolist(), z["logr"], z["baf"]
+    arms = [(logr[a:b], baf[a:b]) for a, b in zip(offsets, offsets[1:])]
+    # the tie track: LogR near copy 2, 1 (well below its default mean), 2,
+    # 3 and 2 in turn, BAF cycling through TIE_BAF; its DPI path holds
+    # tied genotypes of copy 1, 2 and 3
+    ties = np.random.default_rng(17).normal(np.repeat([0.0, -1.8, 0.0, 0.33, 0.0], 90), 0.1)
+    arms.append((ties, np.resize(TIE_BAF, ties.size)))
     h = hashlib.sha256()
-    for a, b in zip(offsets, offsets[1:]):
+    for arm_logr, arm_baf in arms:
         try:
-            track = cnvfuse.SnpTrack.from_values(logr=logr[a:b], baf=baf[a:b])
+            track = cnvfuse.SnpTrack.from_values(logr=arm_logr, baf=arm_baf)
             sigma = cnvfuse.estimate_sigma(track)
             lam1, lam2 = cnvfuse.default_lambdas(sigma, track.n)
             fit = cnvfuse.solve_mm_tdm(track.logr, cnvfuse.TuningConstants(lam1, lam2))
@@ -149,7 +163,7 @@ def library_digest(corpus_path: str) -> str:
         h.update(fit.objective_trace.tobytes())
         h.update(repr((dp.path.objective, dp.model, dp.rounds)).encode())
         h.update(dp.path.state_indices.tobytes())
-    return f"{h.hexdigest()}  {len(offsets) - 1} arms"
+    return f"{h.hexdigest()}  {len(offsets) - 1} arms + tie track"
 
 
 def run_library(src: str, corpus_path: str) -> dict:
@@ -197,7 +211,7 @@ def main(argv=None) -> int:
             differ += report(name, old, new)
         corpus = os.path.join(inputs[1], "corpus.npz")
         old, new = (run_library(src, corpus) for src in (old_src, new_src))
-        differ += report("library: both routes on the arm corpus of seed 1", old, new)
+        differ += report("library: both routes on the arm corpus of seed 1 and the tie track", old, new)
     print(f"{differ} case(s) differ" if differ else "all outputs identical")
     return 1 if differ else 0
 
