@@ -339,9 +339,11 @@ _job = None
 
 def _fit(k):
     """``rows_of(args, chrom, track)`` for sequence k of ``_job``; a
-    CnvFuseError raised for the sequence names it."""
+    CnvFuseError raised for the sequence names it. The sequence leaves
+    the job's list as it is taken, so its track is freed with its rows."""
     rows_of, args, sequences = _job
     chrom, track = sequences[k]
+    sequences[k] = None
     try:
         return rows_of(args, chrom, track)
     except CnvFuseError as exc:

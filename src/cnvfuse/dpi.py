@@ -18,12 +18,11 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import NonFiniteInput
-from .signal_model import STATE_ARRAY, STATE_COPIES, CopyState, SnpTrack, _fields_equal, _frozen, _median, state_index
+from .signal_model import STATE_ARRAY, STATE_COPIES, CopyState, SnpTrack, _fields_equal, _frozen, _median, _rebuilt, state_index
 
 #: default per-copy LogR means for Illumina-style arrays (copy 0..3)
 DEFAULT_COPY_LOGR_MEANS = (-5.5923, -0.6313, -0.0045, 0.3252)
@@ -65,28 +64,30 @@ class StatePath:
     """An imputed genotype sequence with its objective value.
 
     ``state_indices[i]`` is the index in TEN_STATES of position i's state.
-    ``copy_numbers`` is read from it, and ``states`` (the CopyState of each
-    position) on first use. Two paths are equal when they visit the same
-    states and their objectives are equal. Like their index arrays, paths
-    are unhashable.
+    ``copy_numbers`` and ``states`` (the CopyState of each position) are
+    read from it on first use. Two paths are equal when they visit the
+    same states and their objectives are equal. Like their index arrays,
+    paths are unhashable.
     """
 
     state_indices: np.ndarray
     objective: float
-    copy_numbers: np.ndarray = field(init=False, compare=False)
 
     def __post_init__(self):
-        idx = _frozen(self.state_indices, np.int64)
-        copy_numbers = STATE_COPIES[idx]
+        object.__setattr__(self, "state_indices", _frozen(self.state_indices, np.int64))
+
+    @functools.cached_property
+    def copy_numbers(self) -> np.ndarray:
+        copy_numbers = STATE_COPIES[self.state_indices]
         copy_numbers.flags.writeable = False
-        object.__setattr__(self, "state_indices", idx)
-        object.__setattr__(self, "copy_numbers", copy_numbers)
+        return copy_numbers
 
     @functools.cached_property
     def states(self) -> tuple[CopyState, ...]:
         return tuple(STATE_ARRAY[self.state_indices].tolist())
 
     __eq__ = _fields_equal
+    __reduce__ = _rebuilt
 
 
 @dataclass(frozen=True)
@@ -297,8 +298,6 @@ def dp_impute(track: SnpTrack, model: DpiModel) -> StatePath:
     the minimization break toward the lower state index, making the
     output deterministic.
     """
-    if not (np.all(np.isfinite(track.logr)) and np.all(np.isfinite(track.baf))):
-        raise NonFiniteInput("track contains non-finite values")
     mu = model.mu
     pen = [[model.lambda2 * abs(mu[j] - mu[k]) for j in range(4)] for k in range(4)]
     objective, copy_numbers = _min_plus_path(_stage_columns(track, model), pen)
@@ -355,9 +354,7 @@ def dpi_fit(
         if new_path.objective > path.objective + 1e-9 * max(1.0, abs(path.objective)):
             rounds -= 1
             break
-        # genotypes follow from copy numbers and BAF, so equal copy numbers
-        # mean equal states
-        stable = np.array_equal(new_path.copy_numbers, path.copy_numbers)
+        stable = np.array_equal(new_path.state_indices, path.state_indices)
         path, model = new_path, new_model
         if stable:
             break

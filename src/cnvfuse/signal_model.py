@@ -42,17 +42,22 @@ def _frozen(values, dtype) -> np.ndarray:
 
 def _fields_equal(self, other):
     """``__eq__`` of a dataclass holding numpy arrays: ``other`` is of the
-    same class and every compared field is equal, arrays by
-    ``np.array_equal``. A class built with ``eq=False`` that takes it as
-    its ``__eq__`` is unhashable, like its arrays."""
+    same class and every field is equal, arrays by ``np.array_equal``. A
+    class built with ``eq=False`` that takes it as its ``__eq__`` is
+    unhashable, like its arrays."""
     if other.__class__ is not self.__class__:
         return NotImplemented
     for f in fields(self):
-        if f.compare:
-            a, b = getattr(self, f.name), getattr(other, f.name)
-            if not (np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b):
-                return False
+        a, b = getattr(self, f.name), getattr(other, f.name)
+        if not (np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b):
+            return False
     return True
+
+
+def _rebuilt(self):
+    """``__reduce__`` of a frozen dataclass: copies and unpickled values are
+    built by its constructor from the fields alone, unread labels as None."""
+    return self.__class__, tuple(vars(self).get(f.name) for f in fields(self))
 
 
 @dataclass(frozen=True, eq=False)
@@ -115,6 +120,7 @@ class SnpTrack:
         return labels
 
     __eq__ = _fields_equal
+    __reduce__ = _rebuilt
 
     @property
     def n(self) -> int:

@@ -22,7 +22,7 @@ from . import dpi as dpi_mod
 from . import fused_lasso as fl
 from . import pipeline
 from . import segment_caller as sc
-from .signal_model import BAF_CENTERS, DEFAULT_EPSILON, STATE_ARRAY, CopyState, SnpTrack, _fields_equal, state_index
+from .signal_model import BAF_CENTERS, DEFAULT_EPSILON, STATE_ARRAY, CopyState, SnpTrack, _fields_equal, _frozen, _rebuilt, state_index
 
 
 class CnvType(enum.Enum):
@@ -91,14 +91,14 @@ class TruthTrack:
     true_genotype: tuple[CopyState, ...]
 
     def __post_init__(self):
-        tc = np.asarray(self.true_copy, dtype=np.int64)
-        tc.flags.writeable = False
+        tc = _frozen(self.true_copy, np.int64)
         object.__setattr__(self, "true_copy", tc)
         object.__setattr__(self, "true_genotype", tuple(self.true_genotype))
         if not (tc.size == self.track.n == len(self.true_genotype)):
             raise ValueError("truth annotations must match the track length")
 
     __eq__ = _fields_equal
+    __reduce__ = _rebuilt
 
 
 def generate(spec: SimSpec) -> TruthTrack:

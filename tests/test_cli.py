@@ -6,6 +6,7 @@ import logging
 import math
 import multiprocessing
 import time
+import weakref
 
 import numpy as np
 import pytest
@@ -767,6 +768,20 @@ def _finish_last(monkeypatch, chrom):
         return fl_rows(args, c, track)
 
     monkeypatch.setattr(cli, "_fl_rows", late)
+
+
+def test_each_sequence_is_freed_once_fitted(tmp_path):
+    track = _sequences_file(tmp_path, (300, 900, 500, 700))
+    args = argparse.Namespace(input=str(track), split_at="2:2500000")
+    fitted = []
+
+    def rows_of(args, chrom, track):
+        assert [ref() for ref in fitted] == [None] * len(fitted)
+        fitted.append(weakref.ref(track))
+        return chrom, None
+
+    assert cli._fit_all(args, rows_of, parallel=False) == ["1", "2", "2", "3", "4"]
+    assert [ref() for ref in fitted] == [None] * 5
 
 
 class TestWorkerPool:

@@ -29,7 +29,6 @@ from cnvfuse.dpi import (
     dpi_fit,
     reestimate_mu,
 )
-from cnvfuse.errors import NonFiniteInput
 from cnvfuse.signal_model import STATES_BY_COPY, SnpTrack, TEN_STATES
 
 from oracles import (
@@ -311,13 +310,6 @@ class TestDpImpute:
             path = dp_impute(track, model)
             counts.append(int(np.sum(np.diff(path.copy_numbers) != 0)))
         assert all(a >= b for a, b in zip(counts, counts[1:]))
-
-    def test_rejects_non_finite(self):
-        track = make_track([0.0, 0.1], [0.5, 0.5])
-        object.__setattr__(track, "logr", np.array([np.nan, 0.1]))
-        model = DpiModel(DEFAULT_COPY_LOGR_MEANS, 0.1, 0.1)
-        with pytest.raises(NonFiniteInput):
-            dp_impute(track, model)
 
 
 class TestDpiModel:

@@ -1,5 +1,6 @@
 """Tests for domain types, noise estimation, and default tuning constants."""
 
+import copy
 import math
 import pickle
 
@@ -12,6 +13,7 @@ try:
 except ImportError:  # the property test is skipped without hypothesis
     given = None
 
+from cnvfuse import dpi, simulate
 from cnvfuse.cli import _split_track
 from cnvfuse.errors import DegenerateSignal, TooFewSnps
 from cnvfuse.signal_model import (
@@ -195,6 +197,18 @@ class TestSnpTrack:
                 baf=np.array([1.5]),
             )
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", ["logr", "baf"])
+    def test_rejects_non_finite(self, name, bad):
+        values = {"logr": np.zeros(3), "baf": np.full(3, 0.5)}
+        values[name][1] = bad
+        with pytest.raises(ValueError, match=f"^{name} contains non-finite values$"):
+            SnpTrack(None, np.array([1, 2, 3]), **values)
+
+    def test_rejects_negative_position(self):
+        with pytest.raises(ValueError, match="^positions must be non-negative$"):
+            SnpTrack(None, np.array([-1, 2]), np.zeros(2), np.full(2, 0.5))
+
     def test_from_values_clamps_baf(self, caplog):
         track = SnpTrack.from_values(logr=[0.0, 0.0], baf=[-0.01, 1.2])
         assert track.baf.tolist() == [0.0, 1.0]
@@ -355,6 +369,61 @@ class TestDefaultLabels:
             SnpTrack(None, np.array([1, 2, 3]), np.zeros(2), np.full(2, 0.5))
         with pytest.raises(ValueError, match="at least one SNP"):
             SnpTrack(None, np.array([], dtype=np.int64), np.zeros(0), np.zeros(0))
+
+# a pickle round trip, a copy and a deep copy
+COPIES = {
+    "pickle": lambda value: pickle.loads(pickle.dumps(value)),
+    "copy": copy.copy,
+    "deepcopy": copy.deepcopy,
+}
+
+
+class TestRebuilt:
+    """Copied and unpickled tracks, DP paths and truth tracks come out of
+    their constructors: equal, with read-only arrays and no cached value."""
+
+    @staticmethod
+    def track():
+        return make_track(np.linspace(-1.0, 1.0, 7), np.linspace(0.0, 1.0, 7))
+
+    @pytest.mark.parametrize("how", COPIES)
+    def test_track_with_unread_labels(self, how):
+        track = self.track()
+        got = COPIES[how](track)
+        assert sorted(vars(got)) == ["baf", "logr", "positions"]  # labels stay unformatted
+        assert not any(a.flags.writeable for a in (got.positions, got.logr, got.baf))
+        assert got == track and got.snp_ids == labels(7)
+
+    @pytest.mark.parametrize("how", COPIES)
+    def test_track_with_labels_and_table(self, how):
+        track = self.track()
+        track.snp_ids, track.genotype_fit
+        got = COPIES[how](track)
+        assert sorted(vars(got)) == ["baf", "logr", "positions", "snp_ids"]
+        assert vars(got)["snp_ids"] == labels(7)
+        assert not any(a.flags.writeable for a in (got.positions, got.logr, got.baf))
+        assert got == track
+        assert all(np.array_equal(a, b) for a, b in zip(got.genotype_fit, track.genotype_fit))
+
+    @pytest.mark.parametrize("how", COPIES)
+    def test_state_path(self, how):
+        path = dpi.StatePath([4, 4, 1, 9, 0], 2.5)
+        path.states, path.copy_numbers
+        got = COPIES[how](path)
+        assert sorted(vars(got)) == ["objective", "state_indices"]
+        assert not got.state_indices.flags.writeable and not got.copy_numbers.flags.writeable
+        assert got == path and got.states == path.states
+        assert got.copy_numbers.tolist() == [2, 2, 1, 3, 0]
+
+    @pytest.mark.parametrize("how", COPIES)
+    def test_truth_track(self, how):
+        truth = simulate.generate(simulate.SimSpec(n=60, cnv_length=10, seed=3))
+        got = COPIES[how](truth)
+        assert sorted(vars(got)) == ["track", "true_copy", "true_genotype"]
+        assert sorted(vars(got.track)) == ["baf", "logr", "positions"]
+        assert not got.true_copy.flags.writeable and not got.track.logr.flags.writeable
+        assert got == truth
+
 
 class TestTuningConstants:
     def test_rejects_negative_lambda(self):

@@ -13,6 +13,7 @@ from cnvfuse.simulate import (
     BenchRow,
     CnvType,
     SimSpec,
+    TruthTrack,
     dataset1_specs,
     dataset2_specs,
     format_report,
@@ -105,6 +106,14 @@ class TestGenerate:
             replace(a, true_genotype=a.true_genotype[::-1]),
         ):
             assert a != other and not a == other
+
+    def test_callers_truth_stays_writeable(self):
+        truth = generate(SimSpec(n=50, cnv_length=5, seed=2))
+        copies = truth.true_copy.copy()
+        got = TruthTrack(truth.track, copies, truth.true_genotype)
+        assert copies.flags.writeable and not got.true_copy.flags.writeable
+        copies[0] = 3
+        assert got.true_copy[0] == 2 and got == truth
 
     def test_genotypes_follow_copy_number(self):
         spec = SimSpec(n=1000, cnv_length=100, cnv_type=CnvType.DUPLICATION, seed=8)

@@ -27,6 +27,14 @@ For each command it compares the exit status, stdout, stderr and every
 file written; a file that neither side writes counts as the same, one
 that only one side writes as a difference.
 
+The CLI starts the way the ``cnvfuse`` console script and perfbench start
+it, ``python -c "... from cnvfuse.cli import main ..."``. At exit that
+wrapper writes the process's peak resident set (``VmHWM`` from
+``/proc/self/status``, in kB) to a file outside the compared set. Each
+``segment-fl`` and ``segment-dpi`` line prints both trees' figures, which
+are reported, not compared; for ``segment-fl`` they cover the parent
+process, not its workers.
+
 One more case calls the library instead of the CLI. A subprocess per
 source tree fits every arm of perfbench's arm corpus for seed 1 (the
 ``corpus.npz`` that ``gen.py`` wrote) through both routes, with the calls
@@ -63,6 +71,21 @@ SHORT_CHROM = "x1\t7\t1000\t0.1\t0.5\nx2\t7\t2000\t-0.2\t0.3\n"
 CLASS_CENTRES = ((0.0, 1.0), (0.0, 0.5, 1.0), (0.0, 1.0 / 3.0, 2.0 / 3.0, 1.0))
 # the centres and the midpoints between neighbouring centres of one class
 TIE_BAF = sorted({x for cs in CLASS_CENTRES for x in (*cs, *((a + b) / 2.0 for a, b in zip(cs, cs[1:])))})
+# the CLI as the console script starts it; at exit it writes its VmHWM (kB)
+# to the file named by its first argument, which is taken off the argv
+LAUNCH = """\
+import sys
+from cnvfuse.cli import main
+hwm = sys.argv.pop(1)
+try:
+    sys.exit(main())
+finally:
+    try:
+        with open("/proc/self/status", encoding="ascii") as status, open(hwm, "w", encoding="ascii") as out:
+            out.write("".join(line.split()[1] for line in status if line.startswith("VmHWM:")))
+    except OSError:
+        pass
+"""
 
 
 def cases(inputs: dict[int, str]):
@@ -105,14 +128,14 @@ def cases(inputs: dict[int, str]):
         yield f"{' '.join(['cnvfuse', *sub])} --help", [*sub, "--help"], []
 
 
-def run(src: str, workdir: str, argv: list[str], files: list[str]) -> dict:
-    """Run one command in an empty ``workdir``; return what it produced."""
+def run(src: str, workdir: str, argv: list[str], files: list[str]) -> tuple[dict, str]:
+    """Run one command in an empty ``workdir``; return what it produced
+    and the CLI's VmHWM in kB ("?" where it could not be read)."""
     shutil.rmtree(workdir, ignore_errors=True)
     os.makedirs(workdir)
-    if argv[0] == "taskset":
-        cmd = [*argv[:3], sys.executable, "-m", "cnvfuse.cli", *argv[3:]]
-    else:
-        cmd = [sys.executable, "-m", "cnvfuse.cli", *argv]
+    hwm = os.path.join(workdir, ".vmhwm")  # no case compares it
+    prefix = argv[:3] if argv[0] == "taskset" else []
+    cmd = [*prefix, sys.executable, "-c", LAUNCH, hwm, *argv[len(prefix) :]]
     env = {**os.environ, "PYTHONPATH": os.path.abspath(src)}
     proc = subprocess.run(cmd, cwd=workdir, env=env, capture_output=True)
     out = {"exit status": proc.returncode, "stdout": proc.stdout, "stderr": proc.stderr}
@@ -125,7 +148,11 @@ def run(src: str, workdir: str, argv: list[str], files: list[str]) -> dict:
         if data is not None and name == "bench.tsv":
             data = b"\n".join(b"\t".join(line.split(b"\t")[:8]) for line in data.splitlines())
         out[name] = data
-    return out
+    kb = "?"
+    if os.path.exists(hwm):
+        with open(hwm, encoding="ascii") as fh:
+            kb = fh.read() or "?"
+    return out, kb
 
 
 def library_digest(corpus_path: str) -> str:
@@ -174,10 +201,11 @@ def run_library(src: str, corpus_path: str) -> dict:
     return {"exit status": proc.returncode, "stdout": proc.stdout, "stderr": proc.stderr}
 
 
-def report(name: str, old: dict, new: dict) -> bool:
-    """Print one line for a case; return whether its outputs differ."""
+def report(name: str, old: dict, new: dict, note: str = "") -> bool:
+    """Print one line for a case, ending in ``note``; return whether its
+    outputs differ."""
     diffs = [what for what in old if old[what] != new[what]]
-    print(f"{'DIFFER' if diffs else 'same  '}  {name}" + (f": {', '.join(diffs)}" if diffs else ""))
+    print(f"{'DIFFER' if diffs else 'same  '}  {name}" + (f": {', '.join(diffs)}" if diffs else "") + note)
     return bool(diffs)
 
 
@@ -206,9 +234,10 @@ def main(argv=None) -> int:
             with open(os.path.join(inputs[seed], "genome_2snp.tsv"), "w", encoding="utf-8") as fh:
                 fh.write(genome + SHORT_CHROM)
         for name, cmd, files in cases(inputs):
-            old = run(old_src, os.path.join(tmp, "old"), cmd, files)
-            new = run(new_src, os.path.join(tmp, "new"), cmd, files)
-            differ += report(name, old, new)
+            old, old_kb = run(old_src, os.path.join(tmp, "old"), cmd, files)
+            new, new_kb = run(new_src, os.path.join(tmp, "new"), cmd, files)
+            note = f"  (VmHWM {old_kb} -> {new_kb} kB)" if name.startswith("segment-") else ""
+            differ += report(name, old, new, note)
         corpus = os.path.join(inputs[1], "corpus.npz")
         old, new = (run_library(src, corpus) for src in (old_src, new_src))
         differ += report("library: both routes on the arm corpus of seed 1 and the tie track", old, new)
