@@ -432,7 +432,7 @@ def cmd_simulate(args) -> int:
     truth = sim.generate(spec)
     track = truth.track
     # the snp_id, chrom and pos columns, which both files start with
-    heads = [f"{sid}\t{spec.chrom}\t{p}" for sid, p in zip(track.snp_ids, track.positions.tolist())]
+    heads = [f"snp{i:07d}\t{spec.chrom}\t{p}" for i, p in enumerate(track.positions.tolist(), 1)]
     _write_lines(
         args.output,
         ["\t".join(TRACK_COLUMNS)]

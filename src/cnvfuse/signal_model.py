@@ -56,16 +56,15 @@ def _fields_equal(self, other):
 
 def _rebuilt(self):
     """``__reduce__`` of a frozen dataclass: copies and unpickled values are
-    built by its constructor from the fields alone, unread labels as None."""
-    return self.__class__, tuple(vars(self).get(f.name) for f in fields(self))
+    built by its constructor from the fields alone."""
+    return self.__class__, tuple(getattr(self, f.name) for f in fields(self))
 
 
 @dataclass(frozen=True, eq=False)
 class SnpTrack:
     """Ordered per-SNP measurements for one sequence (chromosome arm).
 
-    snp_ids : opaque string labels, one per SNP; None stands for the
-        labels snp0000001, snp0000002, ..., formatted on first read
+    snp_ids : opaque string labels, one per SNP, or None (unlabelled)
     positions : strictly increasing non-negative base-pair coordinates
     logr : normalized log-intensity, ~0 at copy number 2
     baf : B-allele frequency in [0, 1]
@@ -82,11 +81,8 @@ class SnpTrack:
         positions = _frozen(self.positions, np.int64)
         logr = _frozen(self.logr, np.float64)
         baf = _frozen(self.baf, np.float64)
-        if self.snp_ids is None:
-            # __getattr__ formats the labels when they are first read
-            del self.__dict__["snp_ids"]
-            n = logr.size
-        else:
+        n = logr.size
+        if self.snp_ids is not None:
             object.__setattr__(self, "snp_ids", tuple(self.snp_ids))
             n = len(self.snp_ids)
         object.__setattr__(self, "positions", positions)
@@ -109,15 +105,6 @@ class SnpTrack:
             raise ValueError("baf contains non-finite values")
         if (baf < 0.0).any() or (baf > 1.0).any():
             raise ValueError("baf values must lie in [0, 1] (clamp on ingest)")
-
-    def __getattr__(self, name):
-        # reached only for an attribute the instance lacks: the labels of
-        # a track built without them, or a name that does not exist
-        if name != "snp_ids" or "logr" not in self.__dict__:
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        labels = tuple(f"snp{i:07d}" for i in range(1, self.logr.size + 1))
-        object.__setattr__(self, "snp_ids", labels)
-        return labels
 
     __eq__ = _fields_equal
     __reduce__ = _rebuilt
@@ -155,8 +142,7 @@ class SnpTrack:
         Array noise occasionally overshoots [0, 1]; rejecting such tracks
         would discard whole sequences, so the load policy clamps and logs
         a warning with the affected count. Without ``positions`` the SNPs
-        sit 5000 bp apart; without ``snp_ids`` they are labelled
-        snp0000001, snp0000002, ... when the labels are first read.
+        sit 5000 bp apart; without ``snp_ids`` they are unlabelled.
         """
         logr = np.asarray(logr, dtype=np.float64)
         baf = np.asarray(baf, dtype=np.float64)

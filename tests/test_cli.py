@@ -391,7 +391,7 @@ def test_huge_position_is_a_format_error(tmp_path, monkeypatch, capsys, at, size
 
 def reference_simulate_lines(spec):
     """The track and truth lines of ``simulate`` for ``spec``, built index
-    by index."""
+    by index, with SNP i (from 1) labelled snp{i:07d}."""
     truth = sim.generate(spec)
     track = truth.track
 
@@ -401,7 +401,7 @@ def reference_simulate_lines(spec):
     lines = ["snp_id\tchrom\tpos\tlogr\tbaf"]
     tlines = ["snp_id\tchrom\tpos\ttrue_copy\ttrue_genotype"]
     for i in range(track.n):
-        head = [track.snp_ids[i], spec.chrom, str(int(track.positions[i]))]
+        head = [f"snp{i + 1:07d}", spec.chrom, str(int(track.positions[i]))]
         lines.append("\t".join(head + [fmt(float(track.logr[i])), fmt(float(track.baf[i]))]))
         tlines.append("\t".join(head + [str(int(truth.true_copy[i])), truth.true_genotype[i].genotype]))
     return lines, tlines
@@ -440,6 +440,12 @@ class TestSimulateCommand:
         lines, tlines = reference_simulate_lines(spec)
         assert track_path.read_text() == "\n".join(lines) + "\n"
         assert truth_path.read_text() == "\n".join(tlines) + "\n"
+
+    def test_first_column_labels_rows(self, tmp_path):
+        path = simulate_track(tmp_path, "t.tsv", n=12, cnv_length=3, seed=1)
+        ids = [line.split("\t", 1)[0] for line in path.read_text().splitlines()]
+        assert ids[:3] == ["snp_id", "snp0000001", "snp0000002"]
+        assert ids[10:] == ["snp0000010", "snp0000011", "snp0000012"]
 
     def test_deterministic_replay(self, tmp_path):
         p1 = simulate_track(tmp_path, "a.tsv", n=400, cnv_length=30, seed=9)

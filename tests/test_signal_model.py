@@ -237,7 +237,7 @@ class TestSnpTrack:
         rng = np.random.default_rng(5)
         y, x = rng.normal(0.0, 1.0, 6), rng.uniform(0.0, 1.0, 6)
         track = SnpTrack.from_values(logr=y, baf=x)
-        same = SnpTrack.from_values(logr=y.copy(), baf=x.copy(), snp_ids=labels(6))
+        same = SnpTrack.from_values(logr=y.copy(), baf=x.copy())
         assert track.logr is not same.logr
         track.genotype_fit  # a built table takes no part
         assert track == same and not track != same
@@ -311,58 +311,46 @@ def labels(n):
 
 
 class TestDefaultLabels:
-    """A track built without snp_ids formats its labels on first read."""
+    """A track keeps the labels it is given; one built without them is
+    unlabelled: its snp_ids is None."""
 
     def test_read_back(self):
-        track = make_track(np.zeros(12))
-        assert "snp_ids" not in vars(track)
-        ids = track.snp_ids
-        assert "snp_ids" in vars(track) and track.snp_ids is ids
-        assert ids == labels(12) and isinstance(ids, tuple)
-        assert len(ids) == track.n == 12
-        assert ids[0] == "snp0000001" and ids[9] == "snp0000010" and ids[-1] == "snp0000012"
-        assert ids[3:6] == ("snp0000004", "snp0000005", "snp0000006")
-        assert ids[::-5] == ("snp0000012", "snp0000007", "snp0000002")
-        assert list(ids) == [f"snp{i:07d}" for i in range(1, 13)]
+        assert SnpTrack.from_values(logr=[0.0], baf=[0.5]).snp_ids is None
+        track = make_track(np.zeros(4))
+        assert track.snp_ids is None and vars(track)["snp_ids"] is None
+        labelled = SnpTrack(["a", "b", "c", "d"], track.positions, track.logr, track.baf)
+        assert labelled.snp_ids == ("a", "b", "c", "d") and isinstance(labelled.snp_ids, tuple)
 
-    def test_equal_to_the_track_with_explicit_labels(self):
+    def test_differs_from_the_track_with_explicit_labels(self):
         track = make_track(np.zeros(5))
         explicit = SnpTrack(labels(5), track.positions, track.logr, track.baf)
-        assert track == explicit and explicit == track
+        assert track != explicit and explicit != track
+        assert not track == explicit and not explicit == track
         assert SnpTrack(None, track.positions, track.logr, track.baf) == track
-        assert track != SnpTrack(("a",) * 5, track.positions, track.logr, track.baf)
 
     def test_pickle_round_trip(self):
         track = make_track(np.linspace(-1.0, 1.0, 7))
-        unread = pickle.loads(pickle.dumps(track))
-        assert "snp_ids" not in vars(track) and "snp_ids" not in vars(unread)
-        assert unread.snp_ids == labels(7)
-        assert track.snp_ids == labels(7)
-        read = pickle.loads(pickle.dumps(track))
-        assert vars(read)["snp_ids"] == labels(7)
+        unlabelled = pickle.loads(pickle.dumps(track))
+        assert unlabelled.snp_ids is None and vars(unlabelled)["snp_ids"] is None
+        assert unlabelled == track
+        explicit = SnpTrack(labels(7), track.positions, track.logr, track.baf)
+        read = pickle.loads(pickle.dumps(explicit))
+        assert vars(read)["snp_ids"] == labels(7) and read == explicit and read != unlabelled
         assert np.array_equal(read.logr, track.logr) and np.array_equal(read.positions, track.positions)
 
     def test_split_pieces_keep_their_labels(self):
-        track = make_track(np.zeros(10))  # positions 5000, 10000, ..., 50000
+        plain = make_track(np.zeros(10))  # positions 5000, 10000, ..., 50000
+        track = SnpTrack(labels(10), plain.positions, plain.logr, plain.baf)
         pieces = _split_track(track, [12000, 40000])
         assert [piece.snp_ids for piece in pieces] == [labels(10)[:2], labels(10)[2:7], labels(10)[7:]]
         assert [piece.positions.tolist() for piece in pieces] == [
             [5000, 10000], [15000, 20000, 25000, 30000, 35000], [40000, 45000, 50000],
         ]
 
-    def test_long_track_formats_no_label_until_read(self):
-        n = 100_000
-        track = make_track(np.random.default_rng(3).normal(0.0, 0.2, n))
-        estimate_sigma(track)
-        assert track.n == n and track.logr.size == n
-        assert "snp_ids" not in vars(track)
-        assert track.snp_ids[-1] == "snp0100000" and len(track.snp_ids) == n
-
     def test_missing_attribute_still_raises(self):
         track = make_track(np.zeros(3))
         with pytest.raises(AttributeError, match="'SnpTrack' object has no attribute 'labels'"):
             track.labels
-        assert "snp_ids" not in vars(track)
 
     def test_unequal_lengths_still_rejected(self):
         with pytest.raises(ValueError, match="equal length"):
@@ -388,19 +376,22 @@ class TestRebuilt:
 
     @pytest.mark.parametrize("how", COPIES)
     def test_track_with_unread_labels(self, how):
+        # built without labels, the track and its copies are unlabelled
         track = self.track()
         got = COPIES[how](track)
-        assert sorted(vars(got)) == ["baf", "logr", "positions"]  # labels stay unformatted
+        assert sorted(vars(got)) == ["baf", "logr", "positions", "snp_ids"]
+        assert got.snp_ids is None
         assert not any(a.flags.writeable for a in (got.positions, got.logr, got.baf))
-        assert got == track and got.snp_ids == labels(7)
+        assert got == track
 
     @pytest.mark.parametrize("how", COPIES)
     def test_track_with_labels_and_table(self, how):
-        track = self.track()
-        track.snp_ids, track.genotype_fit
+        plain = self.track()
+        track = SnpTrack(labels(7), plain.positions, plain.logr, plain.baf)
+        track.genotype_fit
         got = COPIES[how](track)
         assert sorted(vars(got)) == ["baf", "logr", "positions", "snp_ids"]
-        assert vars(got)["snp_ids"] == labels(7)
+        assert got.snp_ids == labels(7)
         assert not any(a.flags.writeable for a in (got.positions, got.logr, got.baf))
         assert got == track
         assert all(np.array_equal(a, b) for a, b in zip(got.genotype_fit, track.genotype_fit))
@@ -420,7 +411,8 @@ class TestRebuilt:
         truth = simulate.generate(simulate.SimSpec(n=60, cnv_length=10, seed=3))
         got = COPIES[how](truth)
         assert sorted(vars(got)) == ["track", "true_copy", "true_genotype"]
-        assert sorted(vars(got.track)) == ["baf", "logr", "positions"]
+        assert sorted(vars(got.track)) == ["baf", "logr", "positions", "snp_ids"]
+        assert got.track.snp_ids is None
         assert not got.true_copy.flags.writeable and not got.track.logr.flags.writeable
         assert got == truth
 

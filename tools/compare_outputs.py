@@ -6,8 +6,10 @@ Usage, from the repository root::
 
 OLD_SRC and NEW_SRC are directories holding the ``cnvfuse`` package (a
 checkout's ``src/``). The script writes perfbench's genome inputs for
-seeds 1-3 into a temporary directory with ``perfbench/gen.py``, and a copy
-of each genome with a 2-SNP chromosome appended, which no route can fit.
+seeds 1-3 into a temporary directory with ``perfbench/gen.py``, a copy
+of each genome with a 2-SNP chromosome appended, which no route can fit,
+and a copy of the seed-1 genome with ``·`` appended to every ``snp_id``,
+which the reader cannot hand to ``np.loadtxt``.
 It runs the same commands with ``PYTHONPATH=OLD_SRC`` and
 ``PYTHONPATH=NEW_SRC``:
 
@@ -17,6 +19,9 @@ It runs the same commands with ``PYTHONPATH=OLD_SRC`` and
   once pinned to one CPU with ``taskset -c 0`` (where taskset exists);
 * ``segment-dpi`` with its ``split_at.txt`` and ``--segments-out``, on the
   genome and on the genome with the 2-SNP chromosome;
+* ``segment-fl`` and ``segment-dpi`` (with ``--segments-out``), each with
+  its ``split_at.txt``, on the seed-1 genome with non-ASCII SNP ids: the
+  line-by-line reader and the labels' way to the output, end to end;
 * ``simulate --truth-output`` on seeds 1-3 for each CNV type with a
   non-default ``--chrom``, with no other flag, and with every flag set;
 * ``bench`` over the three methods, of whose report only the first 8
@@ -67,6 +72,8 @@ REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SEEDS = (1, 2, 3)
 # appended to each genome as genome_2snp.tsv: too short for a sigma estimate
 SHORT_CHROM = "x1\t7\t1000\t0.1\t0.5\nx2\t7\t2000\t-0.2\t0.3\n"
+# appended to every snp_id of the seed-1 genome as genome_nonascii.tsv
+NON_ASCII = "\u00b7"
 # BAF centres of the genotypes of copy number 1, 2 and 3
 CLASS_CENTRES = ((0.0, 1.0), (0.0, 0.5, 1.0), (0.0, 1.0 / 3.0, 2.0 / 3.0, 1.0))
 # the centres and the midpoints between neighbouring centres of one class
@@ -95,16 +102,22 @@ def cases(inputs: dict[int, str]):
         track, short = os.path.join(d, "genome.tsv"), os.path.join(d, "genome_2snp.tsv")
         with open(os.path.join(d, "split_at.txt"), encoding="utf-8") as fh:
             split = ["--split-at", fh.read().strip()]
-        for label, path, flags in (
+        fl_inputs = [
             ("", track, []),
             (", --max-iter 5", track, ["--max-iter", "5"]),
             (" + 2-SNP chromosome", short, []),
-        ):
+        ]
+        dpi_inputs = [("", track), (" + 2-SNP chromosome", short)]
+        if seed == 1:
+            non_ascii = os.path.join(d, "genome_nonascii.tsv")
+            fl_inputs.append((", non-ASCII SNP ids", non_ascii, []))
+            dpi_inputs.append((", non-ASCII SNP ids", non_ascii))
+        for label, path, flags in fl_inputs:
             fl = ["segment-fl", path, *split, "--output", "fl.tsv", *flags]
             yield f"segment-fl genome {seed}{label}", fl, ["fl.tsv"]
             if taskset:
                 yield f"segment-fl genome {seed}{label} on one CPU", taskset + fl, ["fl.tsv"]
-        for label, path in (("", track), (" + 2-SNP chromosome", short)):
+        for label, path in dpi_inputs:
             dpi = ["segment-dpi", path, *split, "--output", "dpi.tsv", "--segments-out", "seg.tsv"]
             yield f"segment-dpi genome {seed}{label}", dpi, ["dpi.tsv", "seg.tsv"]
     sim = ["simulate", "--output", "trk.tsv", "--truth-output", "truth.tsv"]
@@ -233,6 +246,10 @@ def main(argv=None) -> int:
                 genome = fh.read()
             with open(os.path.join(inputs[seed], "genome_2snp.tsv"), "w", encoding="utf-8") as fh:
                 fh.write(genome + SHORT_CHROM)
+            if seed == 1:
+                header, *body = genome.splitlines(True)
+                with open(os.path.join(inputs[seed], "genome_nonascii.tsv"), "w", encoding="utf-8") as fh:
+                    fh.write(header + "".join(line.replace("\t", NON_ASCII + "\t", 1) for line in body))
         for name, cmd, files in cases(inputs):
             old, old_kb = run(old_src, os.path.join(tmp, "old"), cmd, files)
             new, new_kb = run(new_src, os.path.join(tmp, "new"), cmd, files)
