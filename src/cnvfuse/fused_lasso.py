@@ -41,8 +41,8 @@ def objective(beta, y, tc: TuningConstants, *, magnitudes: list | None = None) -
     """Value of the smoothed fused-lasso criterion at ``beta``.
 
     A list passed as ``magnitudes`` receives the two arrays the penalties
-    sum, ``smooth_abs(beta)`` and ``smooth_abs(np.diff(beta))`` (the
-    second only for n > 1), for ``build_surrogate`` at the same ``beta``.
+    sum, ``smooth_abs(beta)`` and ``smooth_abs(np.diff(beta))`` (empty for
+    n = 1), for ``build_surrogate`` at the same ``beta``.
     """
     beta = np.asarray(beta, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -52,9 +52,7 @@ def objective(beta, y, tc: TuningConstants, *, magnitudes: list | None = None) -
     # einsum sums without BLAS: `r @ r` wakes an OpenBLAS thread that
     # spins on the other core for the rest of the solve
     value = 0.5 * float(np.einsum("i,i->", r, r))
-    norms = [smooth_abs(beta, tc.epsilon)]
-    if beta.size > 1:
-        norms.append(smooth_abs(np.diff(beta), tc.epsilon))
+    norms = [smooth_abs(beta, tc.epsilon), smooth_abs(np.diff(beta), tc.epsilon)]
     for weight, norm in zip((tc.lambda1, tc.lambda2), norms):
         value += weight * float(np.sum(norm))
     if magnitudes is not None:

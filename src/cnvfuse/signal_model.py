@@ -141,19 +141,26 @@ class SnpTrack:
 
         Array noise occasionally overshoots [0, 1]; rejecting such tracks
         would discard whole sequences, so the load policy clamps and logs
-        a warning with the affected count. Without ``positions`` the SNPs
-        sit 5000 bp apart; without ``snp_ids`` they are unlabelled.
+        a warning with the affected count and the first clamped SNP (its
+        id, or its position in an unlabelled track). Without ``positions``
+        the SNPs sit 5000 bp apart; without ``snp_ids`` they are unlabelled.
         """
         logr = np.asarray(logr, dtype=np.float64)
         baf = np.asarray(baf, dtype=np.float64)
         n = logr.size
         if positions is None:
             positions = np.arange(5000, 5000 * (n + 1), 5000, dtype=np.int64)
-        n_clamped = int(np.count_nonzero((baf < 0.0) | (baf > 1.0)))
+        outside = (baf < 0.0) | (baf > 1.0)
+        n_clamped = int(np.count_nonzero(outside))
         if n_clamped:
-            logger.warning("clamped %d BAF values outside [0, 1]", n_clamped)
             baf = np.clip(baf, 0.0, 1.0)
-        return cls(snp_ids=snp_ids, positions=positions, logr=logr, baf=baf)
+        track = cls(snp_ids=snp_ids, positions=positions, logr=logr, baf=baf)
+        if n_clamped:
+            # after the constructor's checks: only then do the lengths match
+            i = int(outside.argmax())
+            where = f"SNP {track.snp_ids[i]!r}" if track.snp_ids is not None else f"position {track.positions[i]}"
+            logger.warning("clamped %d BAF values outside [0, 1], the first at %s", n_clamped, where)
+        return track
 
 
 @dataclass(frozen=True)
@@ -230,48 +237,44 @@ def state_index(copy_numbers, b_alleles) -> np.ndarray:
 
 
 def _percentiles(values: np.ndarray, q) -> np.ndarray:
-    """``np.percentile(values, q)`` of a 1-D float64 array, for percentiles
-    0 <= q < 100: numpy 2.4's linear method step for step, so the result
-    equals numpy's (up to the sign of a zero), but without its
-    ``np.unique`` call, which imports ``numpy.ma`` (10-20 ms) in every
+    """``np.percentile(values, q)`` of a 1-D float64 array of finite values,
+    for percentiles 0 <= q < 100: numpy 2.4's linear method step for step,
+    so the result equals numpy's (up to the sign of a zero), but without
+    its ``np.unique`` call, which imports ``numpy.ma`` (10-20 ms) in every
     fresh process."""
     virtual = (values.size - 1) * np.true_divide(q, 100)
     below = np.floor(virtual).astype(np.intp)
     above = below + 1
     arr = values.flatten()
-    # -1 puts the largest value, nan if any, last for the check below
-    arr.partition(sorted({-1, *below.tolist(), *above.tolist()}))
+    arr.partition(sorted({*below.tolist(), *above.tolist()}))
     a, b = arr[below], arr[above]
     gamma = virtual - below
     diff = b - a
     result = a + diff * gamma
     np.subtract(b, diff * (1 - gamma), out=result, where=gamma >= 0.5)
-    if np.isnan(arr[-1]):
-        result[:] = arr[-1]
     return result
 
 
 def _median(values: np.ndarray) -> np.float64:
-    """``np.median(values)`` of a non-empty 1-D float64 array: numpy 2.4's
-    steps, so the result is bit-identical, but without its NaN check, which
-    imports ``numpy.ma`` (10-20 ms) in every fresh process."""
+    """``np.median(values)`` of a non-empty 1-D float64 array of finite
+    values: numpy 2.4's steps, so the result is bit-identical, but without
+    its NaN check, which imports ``numpy.ma`` (10-20 ms) in a fresh process."""
     h = values.size // 2
     odd = values.size % 2
-    part = np.partition(values, [h, -1] if odd else [h - 1, h, -1])
-    if np.isnan(part[-1]):
-        return part[-1]
+    part = np.partition(values, [h] if odd else [h - 1, h])
     # the mean of one value too: np.mean([-0.0]) is 0.0
     return np.mean(part[h : h + 1] if odd else part[h - 1 : h + 1])
 
 
-def trimmed_std(values) -> float:
-    """Sample sd of the values between their 2.5th and 97.5th percentiles.
+def estimate_sigma(track: SnpTrack) -> float:
+    """Robust noise level of a track's LogR values: the sample sd of the
+    values between their 2.5th and 97.5th percentiles.
 
     Percentiles use the linear-interpolation (type 7) convention; the
     retained window is inclusive on both ends. Trimming excludes SNPs in
     likely deletions/duplications, making the estimate conservative.
     """
-    v = np.asarray(values, dtype=np.float64)
+    v = track.logr
     if v.size < MIN_SNPS_FOR_SIGMA:
         raise TooFewSnps(
             f"need at least {MIN_SNPS_FOR_SIGMA} values to estimate sigma, got {v.size}"
@@ -282,11 +285,6 @@ def trimmed_std(values) -> float:
     if not s > 0.0:
         raise DegenerateSignal("trimmed LogR values are constant")
     return s
-
-
-def estimate_sigma(track: SnpTrack) -> float:
-    """Robust noise level of a track's LogR values (trimmed sample sd)."""
-    return trimmed_std(track.logr)
 
 
 def default_lambdas(sigma: float, n: int) -> tuple[float, float]:

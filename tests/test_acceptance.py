@@ -333,8 +333,9 @@ def test_criterion_9_speed_ordering():
         )
     # the fixed budgets are timed round-robin over the lengths and each
     # length keeps its median, so a slow spell of the host falls on every
-    # length alike instead of bending the fit
-    times = np.empty((7, len(lengths), 2))
+    # length alike instead of bending the fit; with 15 rounds a spell must
+    # cover 8 of one length's rounds to move its median
+    times = np.empty((15, len(lengths), 2))
     for r in range(times.shape[0]):
         for i, fns in enumerate(fixed):
             for j, fn in enumerate(fns):

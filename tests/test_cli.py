@@ -287,7 +287,10 @@ class TestParserEquivalence:
         result = parse_both(tmp_path, monkeypatch, caplog, text)
         assert result[0] == "ok"
         if case == "clamped_baf":
-            assert result[2] == ["clamped 2 BAF values outside [0, 1]", "clamped 1 BAF values outside [0, 1]"]
+            assert result[2] == [
+                "clamped 2 BAF values outside [0, 1], the first at SNP 'a'",
+                "clamped 1 BAF values outside [0, 1], the first at SNP 'c'",
+            ]
 
     @pytest.mark.parametrize("prefix", PREFIXES)
     @pytest.mark.parametrize("case", sorted(MALFORMED))

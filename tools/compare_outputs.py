@@ -42,19 +42,21 @@ process, not its workers.
 
 One more case calls the library instead of the CLI. A subprocess per
 source tree fits every arm of perfbench's arm corpus for seed 1 (the
-``corpus.npz`` that ``gen.py`` wrote) through both routes, with the calls
-perfbench's ``arm-corpus`` workload makes: ``SnpTrack.from_values``,
+``corpus.npz`` that ``gen.py`` wrote) through both routes with
+``fit_arm`` from ``perfbench/corpus.py``, the function perfbench's
+``arm-corpus`` workload fits each arm with (``SnpTrack.from_values``,
 ``estimate_sigma``, ``default_lambdas``, ``solve_mm_tdm``, ``call_cnvs``,
-``merge_adjacent_calls`` and ``dpi_fit`` with the default means. It
+``merge_adjacent_calls``, then ``dpi_fit`` with the default means). It
 prints one SHA-256 digest of every output: the fused-lasso estimate's
 bytes, its objective, objective trace, iteration count and convergence
 flag, sigma, the lambdas and the called segments, and the DPI path's
-state indices and objective, the re-estimated model and the round count.
-One more track goes through the same calls after the corpus: its BAF
-values sit on every genotype centre and on every midpoint between two
-centres of one copy class, where the class's genotypes tie, so a change
-to the rule that picks among tied genotypes changes the digest. The two
-digests, exit statuses and stderr must match.
+state indices and objective, the re-estimated model and the round count,
+or the exception a route raised. One more track goes through ``fit_arm``
+after the corpus: its BAF values sit on every genotype centre and on
+every midpoint between two centres of one copy class, where the class's
+genotypes tie, so a change to the rule that picks among tied genotypes
+changes the digest. The two digests, exit statuses and stderr must
+match.
 
 The script prints one line per case and exits 1 on any difference.
 Nothing is written outside the temporary directory.
@@ -170,13 +172,12 @@ def run(src: str, workdir: str, argv: list[str], files: list[str]) -> tuple[dict
 
 def library_digest(corpus_path: str) -> str:
     """Fit each arm of a perfbench corpus file through both routes with
-    the ``cnvfuse`` on the import path; return the digest of every output."""
+    perfbench's ``fit_arm`` and the ``cnvfuse`` on the import path; return
+    the digest of every output."""
     import hashlib
 
     import numpy as np
-
-    import cnvfuse
-    from cnvfuse.dpi import DEFAULT_COPY_LOGR_MEANS
+    from corpus import Package, fit_arm
 
     with np.load(corpus_path) as z:
         offsets, logr, baf = z["offsets"].tolist(), z["logr"], z["baf"]
@@ -186,30 +187,30 @@ def library_digest(corpus_path: str) -> str:
     # tied genotypes of copy 1, 2 and 3
     ties = np.random.default_rng(17).normal(np.repeat([0.0, -1.8, 0.0, 0.33, 0.0], 90), 0.1)
     arms.append((ties, np.resize(TIE_BAF, ties.size)))
+    pkg = Package("cnvfuse")
     h = hashlib.sha256()
     for arm_logr, arm_baf in arms:
-        try:
-            track = cnvfuse.SnpTrack.from_values(logr=arm_logr, baf=arm_baf)
-            sigma = cnvfuse.estimate_sigma(track)
-            lam1, lam2 = cnvfuse.default_lambdas(sigma, track.n)
-            fit = cnvfuse.solve_mm_tdm(track.logr, cnvfuse.TuningConstants(lam1, lam2))
-            segments = cnvfuse.merge_adjacent_calls(fit.beta, cnvfuse.call_cnvs(fit.beta, sigma), sigma)
-            dp = cnvfuse.dpi_fit(track, cnvfuse.DpiModel(DEFAULT_COPY_LOGR_MEANS, lam1, lam2))
-        except (cnvfuse.CnvFuseError, ValueError) as exc:
-            h.update(repr(exc).encode())
+        fl, dp = fit_arm(pkg, arm_logr, arm_baf)
+        if isinstance(fl, Exception):  # dp is the same exception
+            h.update(repr(fl).encode())
             continue
+        sigma, lam1, lam2, fit, segments = fl
         h.update(repr((sigma, lam1, lam2, segments, fit.objective, fit.iterations, fit.converged)).encode())
         h.update(fit.beta.tobytes())
         h.update(fit.objective_trace.tobytes())
-        h.update(repr((dp.path.objective, dp.model, dp.rounds)).encode())
-        h.update(dp.path.state_indices.tobytes())
+        if isinstance(dp, Exception):
+            h.update(repr(dp).encode())
+        else:
+            h.update(repr((dp.path.objective, dp.model, dp.rounds)).encode())
+            h.update(dp.path.state_indices.tobytes())
     return f"{h.hexdigest()}  {len(offsets) - 1} arms + tie track"
 
 
 def run_library(src: str, corpus_path: str) -> dict:
     """``library_digest`` in a fresh interpreter that imports ``src``."""
     code = "import sys, compare_outputs; print(compare_outputs.library_digest(sys.argv[1]))"
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([os.path.abspath(src), os.path.join(REPO, "tools")])}
+    path = [os.path.abspath(src), os.path.join(REPO, "tools"), os.path.join(REPO, "perfbench")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
     proc = subprocess.run([sys.executable, "-c", code, corpus_path], env=env, capture_output=True)
     return {"exit status": proc.returncode, "stdout": proc.stdout, "stderr": proc.stderr}
 
