@@ -18,45 +18,47 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
+from . import _kernels
 from .errors import NonFiniteInput, ZeroPivot
 from .signal_model import TuningConstants, _fields_equal
 
 DEFAULT_TOL = 1e-4
 DEFAULT_MAX_ITER = 10000
 
-# Pivots below this signal a non-SPD system rather than roundoff.
-_PIVOT_FLOOR = 1e-300
+
+def smooth_abs(x, epsilon: float, out=None):
+    """sqrt(x^2 + epsilon): differentiable, strictly convex |x| surrogate,
+    written into ``out`` when given."""
+    return np.sqrt(np.add(np.square(x, out=out), epsilon, out=out), out=out)
 
 
-def smooth_abs(x, epsilon: float):
-    """sqrt(x^2 + epsilon): differentiable, strictly convex |x| surrogate."""
-    return np.sqrt(np.square(x) + epsilon)
-
-
-def objective(beta, y, tc: TuningConstants, *, magnitudes: list | None = None) -> float:
+def objective(beta, y, tc: TuningConstants, *, magnitudes=None) -> float:
     """Value of the smoothed fused-lasso criterion at ``beta``.
 
-    A list passed as ``magnitudes`` receives the two arrays the penalties
-    sum, ``smooth_abs(beta)`` and ``smooth_abs(np.diff(beta))`` (empty for
-    n = 1), for ``build_surrogate`` at the same ``beta``.
+    ``magnitudes``, a pair of float64 arrays of lengths n and n - 1,
+    receives in place the two arrays the penalties sum,
+    ``smooth_abs(beta)`` and ``smooth_abs(np.diff(beta))``, for
+    ``build_surrogate`` at the same ``beta``; the first also holds the
+    residual on the way. Without it the call allocates its own.
     """
     beta = np.asarray(beta, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if beta.shape != y.shape:
         raise ValueError(f"length mismatch: beta {beta.shape} vs y {y.shape}")
-    r = y - beta
+    if magnitudes is None:
+        magnitudes = (np.empty(beta.size), np.empty(max(beta.size - 1, 0)))
+    norm1, norm2 = magnitudes
+    r = np.subtract(y, beta, out=norm1)
     # einsum sums without BLAS: `r @ r` wakes an OpenBLAS thread that
     # spins on the other core for the rest of the solve
     value = 0.5 * float(np.einsum("i,i->", r, r))
-    norms = [smooth_abs(beta, tc.epsilon), smooth_abs(np.diff(beta), tc.epsilon)]
-    for weight, norm in zip((tc.lambda1, tc.lambda2), norms):
+    smooth_abs(beta, tc.epsilon, out=norm1)
+    smooth_abs(np.subtract(beta[1:], beta[:-1], out=norm2), tc.epsilon, out=norm2)
+    for weight, norm in zip((tc.lambda1, tc.lambda2), magnitudes):
         value += weight * float(np.sum(norm))
-    if magnitudes is not None:
-        magnitudes[:] = norms
     return value
 
 
@@ -101,14 +103,15 @@ class BetaFit:
     __eq__ = _fields_equal
 
 
-def build_surrogate(beta_m, y, tc: TuningConstants, *, magnitudes: list | None = None) -> TridiagonalSystem:
+def build_surrogate(beta_m, y, tc: TuningConstants, *, magnitudes=None, out=None) -> TridiagonalSystem:
     """Assemble the quadratic-majorizer system at the expansion point.
 
     Row i carries 1 + lambda1/||beta_i|| plus lambda2/||delta|| for each
     of the (up to two) adjacent differences; off-diagonal entries are the
     negated fusion weights; the right-hand side is y. ``magnitudes``, as
     ``objective`` filled it in at ``beta_m``, saves computing the norms
-    again.
+    again. ``out``, a float64 system of the same size, receives the
+    surrogate in place and is returned.
     """
     beta_m = np.asarray(beta_m, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -119,52 +122,34 @@ def build_surrogate(beta_m, y, tc: TuningConstants, *, magnitudes: list | None =
         raise ValueError("beta_m and y must have equal length")
     if magnitudes is None:
         magnitudes = (smooth_abs(beta_m, tc.epsilon), smooth_abs(np.diff(beta_m), tc.epsilon))
-    w1 = tc.lambda1 / magnitudes[0]
-    w2 = tc.lambda2 / magnitudes[1]
-    diag = 1.0 + w1
+    if out is None:
+        out = TridiagonalSystem(diag=np.empty(n), off=np.empty(n - 1), rhs=np.empty(n))
+    diag, w2 = out.diag, out.off
+    np.divide(tc.lambda1, magnitudes[0], out=diag)
+    np.divide(tc.lambda2, magnitudes[1], out=w2)
+    np.add(1.0, diag, out=diag)
     diag[:-1] += w2
     diag[1:] += w2
-    return TridiagonalSystem(diag=diag, off=-w2, rhs=y.copy())
+    np.negative(w2, out=w2)
+    np.copyto(out.rhs, y)
+    return out
 
 
-def thomas_solve(system: TridiagonalSystem) -> np.ndarray:
+def thomas_solve(system: TridiagonalSystem, *, out=None, work=None) -> np.ndarray:
     """Solve the tridiagonal system by forward elimination + back substitution.
 
-    O(n) work and no pivoting; valid because the surrogate is strictly
-    diagonally dominant. A vanishing pivot raises ZeroPivot.
+    O(n) work in compiled code and no pivoting; valid because the
+    surrogate is strictly diagonally dominant. A vanishing pivot raises
+    ZeroPivot. ``out`` receives the solution, which is returned, and
+    ``work`` holds the forward sweep's ratios; each is a float64 array of
+    n entries, allocated when not given.
     """
-    # Both sweeps zip, because indexing lists row by row costs more than
-    # the arithmetic. Memoryviews hand the inputs out one float at a time;
-    # with tolist() copies of the arrays the solve took ~25% longer on
-    # a 2-vCPU VM. Row i's sub-diagonal entry is row i - 1's
-    # super-diagonal one, so it is carried from the row before. Row 0
-    # takes the general step with a zero sub-diagonal entry and zero
-    # carried terms; subtracting 0.0 * 0.0 is exact, so its pivot is b_0
-    # and its terms are c_0 / b_0 and d_0 / b_0. Keep every operation and
-    # its order: the result must stay bit-identical to the indexed loop
-    # in the tests.
-    rows = zip(memoryview(system.diag), chain(memoryview(system.off), (0.0,)), memoryview(system.rhs))
-    lo, hi = -_PIVOT_FLOOR, _PIVOT_FLOOR
-    a_i = c_prev = d_prev = 0.0
-    cp = []
-    dp = []
-    for b_i, c_i, d_i in rows:
-        piv = b_i - a_i * c_prev
-        if lo < piv < hi:
-            raise ZeroPivot(f"zero pivot at row {len(dp)}")
-        c_prev = c_i / piv
-        d_prev = (d_i - a_i * d_prev) / piv
-        a_i = c_i
-        cp.append(c_prev)
-        dp.append(d_prev)
-    x = dp.pop()
-    cp.pop()
-    out = [x]
-    for cp_i, dp_i in zip(reversed(cp), reversed(dp)):
-        x = dp_i - cp_i * x
-        out.append(x)
-    # with the dtype and count given, numpy skips its type discovery pass
-    return np.fromiter(reversed(out), np.float64, len(out))
+    n = system.diag.size
+    out = np.empty(n) if out is None else out
+    row = _kernels.thomas(system.diag, system.off, system.rhs, out, np.empty(n) if work is None else work)
+    if row >= 0:
+        raise ZeroPivot(f"zero pivot at row {row}")
+    return out
 
 
 def _solve_scalar(y0: float, tc: TuningConstants) -> BetaFit:
@@ -214,14 +199,19 @@ def _solve_mm(y, tc: TuningConstants, tol: float, max_iter: int, step) -> BetaFi
     if y.size == 1:
         return _solve_scalar(float(y[0]), tc)
 
-    # the surrogate at each iterate reuses the norms its objective summed
-    magnitudes = []
+    # An iteration writes into these buffers, and with the Thomas step it
+    # allocates no n-sized array: a temporary above glibc's mmap threshold
+    # (128 KiB, n = 16k) would be mapped and faulted in afresh each time.
+    # The surrogate at each iterate reuses the norms its objective summed.
+    n = y.size
+    magnitudes = (np.empty(n), np.empty(n - 1))
+    system = TridiagonalSystem(diag=np.empty(n), off=np.empty(n - 1), rhs=np.empty(n))
     beta = y.copy()
     f_cur = objective(beta, y, tc, magnitudes=magnitudes)
     trace = [f_cur]
     converged = False
     for _ in range(max_iter):
-        beta = step(build_surrogate(beta, y, tc, magnitudes=magnitudes), beta)
+        beta = step(build_surrogate(beta, y, tc, magnitudes=magnitudes, out=system), beta)
         f_new = objective(beta, y, tc, magnitudes=magnitudes)
         trace.append(f_new)
         converged = f_cur - f_new < tol
@@ -246,7 +236,9 @@ def solve_mm_tdm(
     (sqrt(lambda1) + 2*sqrt(lambda2)) * sqrt(2*tol) / eps^(1/4) in
     max-norm; in practice it is far smaller (see the test suite).
     """
-    return _solve_mm(y, tc, tol, max_iter, lambda system, beta: thomas_solve(system))
+    work = np.empty(np.size(y))
+    # each solve overwrites the iterate it replaces
+    return _solve_mm(y, tc, tol, max_iter, lambda system, beta: thomas_solve(system, out=beta, work=work))
 
 
 def _block_sweep(system: TridiagonalSystem, beta: np.ndarray) -> np.ndarray:

@@ -6,7 +6,11 @@ exact solution of the non-smoothed fused-lasso criterion and the MM loop
 that computes every surrogate and objective from scratch
 (tests/test_fused_lasso.py), and, for the discrete objective (criterion 6
 and tests/test_dpi.py), the per-state losses, the exhaustive search over
-every state sequence and the re-evaluation of one path.
+every state sequence and the re-evaluation of one path. The pure-Python
+forms of the compiled kernels' DP recursion (``min_plus_path``, on the
+columns of ``stage_columns``, with ``trace_back``) are the references the
+kernels are held to bit for bit; the Thomas solve's is
+``tests/test_fused_lasso.py``'s ``reference_thomas_solve``.
 """
 
 import numpy as np
@@ -191,3 +195,190 @@ def path_objective(track: SnpTrack, states, model: DpiModel) -> float:
         pen = lam2 * abs(mu[states[i].copy_number] - mu[states[i - 1].copy_number])
         acc = (acc + pen) + stage(i, states[i])
     return acc
+
+
+def stage_columns(track: SnpTrack, model: DpiModel) -> list[np.ndarray]:
+    """Per-position stage cost of each copy class, one array per class:
+    ``((y - mu_j)**2 + alpha * l2_j) + lambda1 * |mu_j|``, where ``l2_j``
+    is the class's least BAF loss from the track's genotype table."""
+    return [
+        ((track.logr - mu) ** 2 + model.alpha * l2_j) + model.lambda1 * abs(mu)
+        for mu, l2_j in zip(model.mu, track.genotype_fit[0])
+    ]
+
+
+def min_plus_path(cols, pen) -> tuple[float, np.ndarray]:
+    """Exact minimum and first-minimum path of the four-class recursion.
+
+    ``cols`` holds four arrays of non-negative stage costs, one per class,
+    and ``pen[k][j]`` is the penalty for stepping from class k to class j,
+    a line metric ``lambda2 * |mu_j - mu_k|``. Each step minimizes over
+    the previous class with strict ``<``, so the lowest class wins ties.
+    Returns the objective and the class of every position (int64).
+    """
+    (
+        (p00, p01, p02, p03),
+        (p10, p11, p12, p13),
+        (p20, p21, p22, p23),
+        (p30, p31, p32, p33),
+    ) = pen
+    # Leader test. If g_k > g_L + p_Lk for every k != L, the triangle
+    # inequality of the metric gives g_k + p_kj > g_L + p_Lj for every j, so
+    # L is the strict best predecessor of all four classes. delta covers the
+    # rounding of the compared sums: every g is at most U, the sum of all
+    # stage costs (a single-class path costs no more). An inf or nan cost or
+    # penalty makes delta inf or nan, and then no test passes.
+    delta = 1e-12 * (sum(float(np.sum(c)) for c in cols) + float(np.max(pen)))
+    (
+        (_, q01, q02, q03),
+        (q10, _, q12, q13),
+        (q20, q21, _, q23),
+        (q30, q31, q32, _),
+    ) = [[p + delta for p in row] for row in pen]
+
+    # each column keeps its order of additions and strict < (the lowest
+    # class wins ties), as criterion 6 compares objectives with ==
+    rows = zip(*map(memoryview, cols))
+    g0, g1, g2, g3 = next(rows)
+    # the leader: the lowest class with the least g after the last full step
+    lead = 2
+    # bK is the best previous class for class K, kept pre-shifted into bits
+    # 2K..2K+1, so one SNP's backpointers pack into one byte of ``back``.
+    # When the leader test passes, every class steps from the leader, which
+    # packs to 85 * leader. The leader's own step leaves out its penalty: a
+    # finite delta means a finite metric, whose p_LL is 0.0, and g + 0.0 ==
+    # g because no g is -0.0 (each stage cost is a square plus non-negative
+    # terms).
+    back = bytearray()
+    push = back.append
+    for s0, s1, s2, s3 in rows:
+        if lead == 2:
+            if g0 > g2 + q20 and g1 > g2 + q21 and g3 > g2 + q23:
+                g0 = (g2 + p20) + s0
+                g1 = (g2 + p21) + s1
+                g3 = (g2 + p23) + s3
+                g2 += s2
+                push(170)
+                continue
+        elif lead == 1:
+            if g0 > g1 + q10 and g2 > g1 + q12 and g3 > g1 + q13:
+                g0 = (g1 + p10) + s0
+                g2 = (g1 + p12) + s2
+                g3 = (g1 + p13) + s3
+                g1 += s1
+                push(85)
+                continue
+        elif lead == 3:
+            if g0 > g3 + q30 and g1 > g3 + q31 and g2 > g3 + q32:
+                g0 = (g3 + p30) + s0
+                g1 = (g3 + p31) + s1
+                g2 = (g3 + p32) + s2
+                g3 += s3
+                push(255)
+                continue
+        elif g1 > g0 + q01 and g2 > g0 + q02 and g3 > g0 + q03:
+            g1 = (g0 + p01) + s1
+            g2 = (g0 + p02) + s2
+            g3 = (g0 + p03) + s3
+            g0 += s0
+            push(0)
+            continue
+
+        best = g0 + p00
+        b0 = 0
+        v = g1 + p10
+        if v < best:
+            best = v
+            b0 = 1
+        v = g2 + p20
+        if v < best:
+            best = v
+            b0 = 2
+        v = g3 + p30
+        if v < best:
+            best = v
+            b0 = 3
+        n0 = best + s0
+
+        best = g0 + p01
+        b1 = 0
+        v = g1 + p11
+        if v < best:
+            best = v
+            b1 = 4
+        v = g2 + p21
+        if v < best:
+            best = v
+            b1 = 8
+        v = g3 + p31
+        if v < best:
+            best = v
+            b1 = 12
+        n1 = best + s1
+
+        best = g0 + p02
+        b2 = 0
+        v = g1 + p12
+        if v < best:
+            best = v
+            b2 = 16
+        v = g2 + p22
+        if v < best:
+            best = v
+            b2 = 32
+        v = g3 + p32
+        if v < best:
+            best = v
+            b2 = 48
+        n2 = best + s2
+
+        best = g0 + p03
+        b3 = 0
+        v = g1 + p13
+        if v < best:
+            best = v
+            b3 = 64
+        v = g2 + p23
+        if v < best:
+            best = v
+            b3 = 128
+        v = g3 + p33
+        if v < best:
+            best = v
+            b3 = 192
+        g0, g1, g2, g3 = n0, n1, n2, best + s3
+        push(b0 | b1 | b2 | b3)
+
+        lead = 0
+        best = g0
+        if g1 < best:
+            best = g1
+            lead = 1
+        if g2 < best:
+            best = g2
+            lead = 2
+        if g3 < best:
+            lead = 3
+
+    g = (g0, g1, g2, g3)
+    c = int(np.argmin(g))  # argmin takes the first minimum: lowest class wins
+    return g[c], trace_back(back, c)
+
+
+def trace_back(back: bytearray, last: int) -> np.ndarray:
+    """The class of every position (int64), given the packed backpointers
+    of positions 1..n-1 and the class ``last`` of the last position.
+
+    back[i] packs the best predecessors of position i + 1, so path[i] is
+    bits 2c..2c+1 of back[i] with c = path[i + 1]. A byte 85 * L (a leader
+    step, or a full step whose four classes all chose L) pins path[i] to L
+    whatever c is, so numpy fills those in at once and only the other
+    steps, about a tenth on genome tracks, are walked, last first.
+    """
+    packed = np.frombuffer(back, np.uint8)
+    low = packed & 3
+    path = bytearray(low.tobytes())
+    path.append(last)
+    for i in np.flatnonzero(packed != low * 85)[::-1].tolist():
+        path[i] = back[i] >> 2 * path[i + 1] & 3
+    return np.frombuffer(path, np.uint8).astype(np.int64)

@@ -7,9 +7,16 @@ on the smooth criterion for the full solver.
 
 from dataclasses import replace
 
+import tracemalloc
+
 import numpy as np
 import numpy.linalg as la
 import pytest
+
+try:
+    from hypothesis import given, settings, strategies as st
+except ImportError:  # the property test is skipped without hypothesis
+    given = None
 
 from cnvfuse import fused_lasso
 from cnvfuse.errors import NonFiniteInput, ZeroPivot
@@ -238,7 +245,7 @@ def assert_same_bits(x, ref):
 
 
 class TestThomasEquivalence:
-    """The zip-driven sweep against the indexed reference loop above."""
+    """The compiled sweep against the indexed reference loop above."""
 
     @pytest.mark.parametrize("n", [1, 2, 3, 100, 20000])
     def test_random_general_systems(self, n):
@@ -276,7 +283,7 @@ class TestThomasEquivalence:
         y = simulated_logr(13000, 7, CnvType.DUPLICATION)
         tc = TuningConstants(0.2, 0.2 * 2 * np.sqrt(np.log(y.size)))
         fit = solve_mm_tdm(y, tc)
-        monkeypatch.setattr(fused_lasso, "thomas_solve", reference_thomas_solve)
+        monkeypatch.setattr(fused_lasso, "thomas_solve", lambda system, **buffers: reference_thomas_solve(system))
         ref = solve_mm_tdm(y, tc)
         assert fit.iterations == ref.iterations and fit.converged == ref.converged
         assert_same_bits(fit.beta, ref.beta)
@@ -309,6 +316,42 @@ class TestThomasEquivalence:
             diag=np.array(diag), off=np.array(off), rhs=np.ones(len(diag)),
         )
         assert_same_bits(thomas_solve(system), reference_thomas_solve(system))
+
+
+if given is None:
+
+    @pytest.mark.skip(reason="hypothesis is not installed")
+    def test_kernel_matches_the_indexed_loop():
+        pass
+
+else:
+
+    @st.composite
+    def tridiagonal_systems(draw):
+        # repeated small entries make zero pivots, at row 0 and further in
+        n = draw(st.one_of(st.sampled_from([1, 2]), st.integers(1, 40)))
+        layout = draw(st.sampled_from(["float64", "strided", "float32", "int"]))
+        if layout == "int":
+            value = st.integers(-5, 5)
+        else:
+            value = st.one_of(st.sampled_from([0.0, 1.0, -1.0, 2.0, 0.5]), st.floats(-100.0, 100.0))
+        dtype = {"int": np.int64, "float32": np.float32}.get(layout, np.float64)
+        diag, off, rhs = (np.array(draw(st.lists(value, min_size=m, max_size=m)), dtype=dtype) for m in (n, n - 1, n))
+        if layout == "strided":
+            diag, off, rhs = (np.repeat(a, 2)[::2] for a in (diag, off, rhs))
+        return TridiagonalSystem(diag=diag, off=off, rhs=rhs)
+
+    @settings(max_examples=500, deadline=None, derandomize=True, database=None)
+    @given(tridiagonal_systems())
+    def test_kernel_matches_the_indexed_loop(system):
+        try:
+            want = reference_thomas_solve(system)
+        except ZeroPivot as exc:
+            with pytest.raises(ZeroPivot) as got:
+                thomas_solve(system)
+            assert str(got.value) == str(exc)
+        else:
+            assert_same_bits(thomas_solve(system), want)
 
 
 def assert_same_fit(fit, ref):
@@ -384,9 +427,8 @@ class TestMmLoopAgainstReference:
         rng = np.random.default_rng(n)
         beta, y = rng.normal(size=n), rng.normal(size=n)
         tc = TuningConstants(0.3, 0.7)
-        magnitudes = [np.zeros(3)]  # replaced, not appended to
+        magnitudes = (np.full(n, np.nan), np.full(n - 1, np.nan))  # written in place
         assert objective(beta, y, tc, magnitudes=magnitudes) == objective(beta, y, tc)
-        assert len(magnitudes) == 2
         assert_same_bits(magnitudes[0], smooth_abs(beta, tc.epsilon))
         assert_same_bits(magnitudes[1], smooth_abs(np.diff(beta), tc.epsilon))
         if n > 1:
@@ -397,6 +439,25 @@ class TestMmLoopAgainstReference:
 
 
 class TestSolveMmTdm:
+    @pytest.mark.parametrize("max_iter", [1, 30])
+    def test_iterations_allocate_no_track_sized_array(self, max_iter):
+        # the fit holds seven arrays of n floats: the iterate, the two
+        # norms, the system's three fields and the solve's ratios; a
+        # temporary of one more n-sized array in any iteration would
+        # raise the peak by 8n bytes
+        n = 50000
+        y = simulated_logr(n, 9)
+        tc = TuningConstants(0.2, 0.2 * 2 * np.sqrt(np.log(n)))
+        solve_mm_tdm(y[:100], tc)  # the kernels are loaded before tracing
+        tracemalloc.start()
+        try:
+            fit = solve_mm_tdm(y, tc, tol=1e-300, max_iter=max_iter)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert fit.iterations == max_iter
+        assert peak < 7.5 * 8 * n
+
     def test_fits_compare_arrays_by_value(self):
         y = simulated_logr(300, 7)
         tc = TuningConstants(0.1, 0.5)

@@ -3,6 +3,7 @@ benchmark's tracer (perfbench/tracing.py) still sees every traced layer."""
 
 import importlib.util
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -215,6 +216,25 @@ def test_pool_modules_are_imported_only_for_a_pool(tmp_path):
     env = dict(os.environ, PYTHONPATH=str(Path(cnvfuse.__file__).resolve().parents[1]))
     out = subprocess.run(argv, env=env, capture_output=True, text=True, check=True)
     assert out.stdout.splitlines() == ["[]", "[]", "['multiprocessing', 'concurrent.futures']"]
+
+
+def test_import_builds_and_loads_no_kernels(tmp_path):
+    # the kernels are compiled and loaded on their first call only. numpy
+    # imports ctypes itself, so the guard is the loader's cache and the
+    # modules only a build imports; a fresh copy of the package has no
+    # library that would hide a build
+    package = Path(cnvfuse.__file__).resolve().parent
+    shutil.copytree(package, tmp_path / "cnvfuse", ignore=shutil.ignore_patterns("__pycache__"))
+    code = (
+        "import sys\n"
+        "import cnvfuse.cli\n"
+        "from cnvfuse import _kernels\n"
+        "print(_kernels._library.cache_info().currsize, [m for m in ('subprocess', 'sysconfig') if m in sys.modules])\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(tmp_path))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "0 []"
+    assert not list((tmp_path / "cnvfuse").glob("__pycache__/_kernels-*"))
 
 
 def test_cli_runs_do_not_import_numpy_ma(tmp_path):
