@@ -1,9 +1,11 @@
-/* The two O(n) loops of cnvfuse: the tridiagonal solve of each MM step
- * (fused_lasso.thomas_solve) and the four-class min-plus recursion of DP
- * imputation (dpi.dp_impute). _kernels.py builds this file on first use
- * with -ffp-contract=off, so that every operation below rounds as written,
- * in the order written: the results are bit for bit those of the Python
- * references in tests/oracles.py and tests/test_fused_lasso.py.
+/* The O(n) loops of cnvfuse: the whole MM fit of the smoothed fused lasso
+ * (fused_lasso.solve_mm_tdm and solve_mm_block), whose step is the
+ * tridiagonal solve or a block sweep, and the four-class min-plus recursion
+ * of DP imputation (dpi.dp_impute). _kernels.py builds this file on first
+ * use with -ffp-contract=off and neither -ffast-math nor -march, so that
+ * every operation below rounds as written, in the order written: the
+ * results are bit for bit those of the numpy and Python references in
+ * fused_lasso.py, tests/oracles.py and tests/test_fused_lasso.py.
  */
 #include <math.h>
 #include <stddef.h>
@@ -56,33 +58,167 @@ static double stage_cost(const struct stage *s, int j, index_t i)
     return (r * r + s->alpha * s->losses[j * s->n + i]) + s->lasso[j];
 }
 
-/* numpy's pairwise summation (np.sum of a contiguous float64 array) of
- * class j's stage costs at positions lo..lo+m-1: blocks of up to 128 in
- * eight interleaved partial sums, halves above that. */
-static double pairwise_sum(const struct stage *s, int j, index_t lo, index_t m)
+/* Class j's stage costs, as pairwise_sum's terms. */
+struct column {
+    const struct stage *stage;
+    int j;
+};
+
+static double column_cost(const void *c, index_t i)
+{
+    const struct column *col = c;
+    return stage_cost(col->stage, col->j, i);
+}
+
+/* numpy's pairwise summation (np.sum of a contiguous float64 array, less
+ * its 0.0 start) of term(ctx, i) over i = lo..lo+m-1: blocks of up to 128
+ * in eight interleaved partial sums, halves above that. */
+static double pairwise_sum(double (*term)(const void *, index_t), const void *ctx, index_t lo, index_t m)
 {
     if (m < 8) {
         double res = -0.0;
         for (index_t i = 0; i < m; i++)
-            res += stage_cost(s, j, lo + i);
+            res += term(ctx, lo + i);
         return res;
     }
     if (m <= 128) {
         double r[8];
         index_t i;
         for (int k = 0; k < 8; k++)
-            r[k] = stage_cost(s, j, lo + k);
+            r[k] = term(ctx, lo + k);
         for (i = 8; i < m - m % 8; i += 8)
             for (int k = 0; k < 8; k++)
-                r[k] += stage_cost(s, j, lo + i + k);
+                r[k] += term(ctx, lo + i + k);
         double res = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]));
         for (; i < m; i++)
-            res += stage_cost(s, j, lo + i);
+            res += term(ctx, lo + i);
         return res;
     }
     index_t half = m / 2;
     half -= half % 8;
-    return pairwise_sum(s, j, lo, half) + pairwise_sum(s, j, lo + half, m - half);
+    return pairwise_sum(term, ctx, lo, half) + pairwise_sum(term, ctx, lo + half, m - half);
+}
+
+static double element(const void *a, index_t i)
+{
+    return ((const double *)a)[i];
+}
+
+/* np.sum(a[0..m-1]) */
+static double np_sum(const double *a, index_t m)
+{
+    return 0.0 + pairwise_sum(element, a, 0, m);
+}
+
+/* The elements of one 8 192-element buffer of np.einsum's iterator. */
+#define EINSUM_BUFFER 8192
+
+/* np.einsum("i,i->", r, r) of r = y - beta, in numpy 2.4's order on an
+ * X86_V2 (SSE) build: within each buffer, two lanes, each block of 8
+ * accumulated as four 2-lane multiply-then-add steps, last pair first, a
+ * tail of pairs, and the lanes added at the end; the buffers' sums are
+ * added in order into 0.0. A numpy with another baseline (AVX2's four
+ * lanes, aarch64's fused multiply-add) sums in another order, and the
+ * objective tests then fail. */
+static double einsum_sum_of_squares(const double *y, const double *beta, index_t n)
+{
+    double total = 0.0;
+    for (index_t lo = 0; lo < n; lo += EINSUM_BUFFER) {
+        index_t m = n - lo < EINSUM_BUFFER ? n - lo : EINSUM_BUFFER, i = 0;
+        const double *a = y + lo, *b = beta + lo;
+        double lane[2] = {0.0, 0.0};
+        for (; i + 8 <= m; i += 8)
+            for (int k = 6; k >= 0; k -= 2)
+                for (int l = 0; l < 2; l++) {
+                    double r = a[i + k + l] - b[i + k + l];
+                    lane[l] = r * r + lane[l];
+                }
+        /* numpy pads an odd tail with a zero, whose square adds nothing */
+        for (; i < m; i++) {
+            double r = a[i] - b[i];
+            lane[i % 2] = r * r + lane[i % 2];
+        }
+        total = total + (lane[0] + lane[1]);
+    }
+    return total;
+}
+
+/* fused_lasso.objective at beta (n >= 1): the smoothed criterion
+ *     0.5 * (y - beta).(y - beta) + lambda1 * sum ||beta_i||
+ *                                 + lambda2 * sum ||beta_{i+1} - beta_i||
+ * with ||x|| = sqrt(x^2 + epsilon). norms receives the n + n - 1 smoothed
+ * norms, which the surrogate at beta reads. */
+double cnv_objective(index_t n, const double *y, const double *beta, double lambda1, double lambda2,
+                     double epsilon, double *norms)
+{
+    double *norm1 = norms, *norm2 = norms + n;
+    double value = 0.5 * einsum_sum_of_squares(y, beta, n);
+    for (index_t i = 0; i < n; i++)
+        norm1[i] = sqrt(beta[i] * beta[i] + epsilon);
+    for (index_t i = 0; i < n - 1; i++) {
+        double d = beta[i + 1] - beta[i];
+        norm2[i] = sqrt(d * d + epsilon);
+    }
+    value += lambda1 * np_sum(norm1, n);
+    value += lambda2 * np_sum(norm2, n - 1);
+    return value;
+}
+
+/* fused_lasso.build_surrogate from the norms at the expansion point:
+ * off_i = -(lambda2 / ||delta_i||) and diag_i = ((1 + lambda1 / ||beta_i||)
+ * + w_i) + w_{i-1}, with w_i = -off_i for each adjacent difference; x - off
+ * is x + w exactly. The right-hand side is y itself. */
+static void build_surrogate(index_t n, double lambda1, double lambda2, const double *norm1,
+                            const double *norm2, double *diag, double *off)
+{
+    for (index_t i = 0; i < n - 1; i++)
+        off[i] = -(lambda2 / norm2[i]);
+    diag[0] = (1.0 + lambda1 / norm1[0]) - off[0];
+    for (index_t i = 1; i < n - 1; i++)
+        diag[i] = ((1.0 + lambda1 / norm1[i]) - off[i]) - off[i - 1];
+    diag[n - 1] = (1.0 + lambda1 / norm1[n - 1]) - off[n - 2];
+}
+
+/* The step of solve_mm_block: odd-indexed coordinates minimize the
+ * surrogate given their neighbours, then even-indexed ones, each as
+ * ((rhs_i - sub_i * left_i) - sup_i * right_i) / diag_i with zeros past
+ * either end. */
+static void block_sweep(index_t n, const double *diag, const double *off, const double *rhs, double *beta)
+{
+    for (index_t first = 1; first >= 0; first--)
+        for (index_t i = first; i < n; i += 2) {
+            double sub = i > 0 ? off[i - 1] : 0.0, left = i > 0 ? beta[i - 1] : 0.0;
+            double sup = i + 1 < n ? off[i] : 0.0, right = i + 1 < n ? beta[i + 1] : 0.0;
+            beta[i] = ((rhs[i] - sub * left) - sup * right) / diag[i];
+        }
+}
+
+/* Up to budget MM iterations from the iterate beta (n >= 2), whose
+ * objective is trace[0] and whose norms cnv_objective left at the start of
+ * work (5n - 2 doubles: the norms, then the surrogate's diagonal and
+ * off-diagonal and the solve's ratios). Each iteration builds the surrogate
+ * at beta, replaces beta by its exact solve (cnv_thomas) or, with block
+ * set, by one block sweep, writes the objective at the new beta into
+ * trace[k] and stops once trace[k - 1] - trace[k] < tol. Returns the
+ * iterations run, or -1 - row when the solve meets a zero pivot at row. */
+index_t cnv_mm(index_t n, const double *y, double lambda1, double lambda2, double epsilon, double tol,
+               int block, index_t budget, double *beta, double *work, double *trace)
+{
+    double *norm1 = work, *norm2 = norm1 + n, *diag = norm2 + n - 1, *off = diag + n, *ratio = off + n - 1;
+    for (index_t k = 1; k <= budget; k++) {
+        build_surrogate(n, lambda1, lambda2, norm1, norm2, diag, off);
+        if (block) {
+            block_sweep(n, diag, off, y, beta);
+        } else {
+            index_t row = cnv_thomas(n, diag, off, y, beta, ratio);
+            if (row >= 0)
+                return -1 - row;
+        }
+        trace[k] = cnv_objective(n, y, beta, lambda1, lambda2, epsilon, work);
+        if (trace[k - 1] - trace[k] < tol)
+            return k;
+    }
+    return budget;
 }
 
 /* Exact minimum of the four-class recursion
@@ -116,8 +252,10 @@ double cnv_min_plus_path(index_t n, const double *logr, const double *losses,
     const struct stage st = {n, logr, losses, mu, lasso, alpha};
 
     double total = 0.0, top = pen[0];
-    for (int j = 0; j < 4; j++)
-        total = total + pairwise_sum(&st, j, 0, n);
+    for (int j = 0; j < 4; j++) {
+        const struct column col = {&st, j};
+        total = total + pairwise_sum(column_cost, &col, 0, n);
+    }
     for (int k = 1; k < 16; k++)
         top = pen[k] > top ? pen[k] : top;
     double delta = 1e-12 * (total + top);

@@ -1,4 +1,5 @@
-"""The compiled kernels of ``_kernels.c``, built on first use.
+"""The compiled kernels of ``_kernels.c``, built on first use: a whole MM
+fit of the fused lasso, the Thomas solve and the DP recursion.
 
 The first call compiles the C file with the C compiler Python was built
 with (``sysconfig``'s ``CC``) into ``__pycache__/_kernels-<digest>.so``
@@ -9,6 +10,14 @@ place. Nothing is compiled or loaded at import.
 
 The wrappers check sizes, dtypes and contiguity before handing pointers to
 C, and keep every array they pass alive for the call.
+
+The MM fit reproduces numpy's own sums bit for bit: ``np.sum``'s pairwise
+order, and ``np.einsum("i,i->")``'s order on numpy 2.4 built for an
+X86_V2 (SSE) baseline, two lanes per 8 192-element buffer. On a numpy that
+sums in another order (an AVX2 baseline's four lanes, aarch64's fused
+multiply-add) the fits still minimize the same criterion, but the tests
+that hold the kernel's objective to ``fused_lasso.objective`` bit for bit
+fail.
 """
 
 from __future__ import annotations
@@ -18,14 +27,19 @@ import os
 
 import numpy as np
 
-from .errors import CnvFuseError
+from .errors import CnvFuseError, ZeroPivot
 
-#: no -ffast-math or -march: each operation must round as the source says
-FLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
+#: no -ffast-math or -march, and no contraction: each operation must round
+#: as the source says. -fno-math-errno lets sqrt compile to one instruction.
+FLAGS = ("-O3", "-fno-math-errno", "-ffp-contract=off", "-shared", "-fPIC")
+
+#: MM iterations per kernel call: the objective trace grows a chunk at a
+#: time, so its memory follows the iterations run, not max_iter
+MM_CHUNK = 1024
 
 
 @functools.cache
-def _library():
+def library():
     import ctypes
     import logging
     import shlex
@@ -56,6 +70,10 @@ def _library():
     index, pointer, double = ctypes.c_ssize_t, ctypes.c_void_p, ctypes.c_double
     lib.cnv_thomas.argtypes = [index] + [pointer] * 5
     lib.cnv_thomas.restype = index
+    lib.cnv_objective.argtypes = [index, pointer, pointer, double, double, double, pointer]
+    lib.cnv_objective.restype = double
+    lib.cnv_mm.argtypes = [index, pointer] + [double] * 4 + [ctypes.c_int, index] + [pointer] * 3
+    lib.cnv_mm.restype = index
     lib.cnv_min_plus_path.argtypes = [index] + [pointer] * 4 + [double, double, pointer, pointer]
     lib.cnv_min_plus_path.restype = double
     return lib
@@ -94,17 +112,51 @@ def _writable(arr, n: int, dtype) -> None:
         raise ValueError(f"output buffer must be a writable contiguous {np.dtype(dtype)} array of {n} entries")
 
 
-def thomas(diag, off, rhs, out, ratio) -> int:
-    """Solve the tridiagonal system into ``out`` (``cnv_thomas``), with
-    ``ratio`` as scratch; both are float64 arrays of n entries. Returns
-    -1, or the row of the first pivot that vanished."""
+def _check_pivot(row: int) -> None:
+    if row >= 0:
+        raise ZeroPivot(f"zero pivot at row {row}")
+
+
+def thomas(diag, off, rhs) -> np.ndarray:
+    """The solution of the tridiagonal system (``cnv_thomas``); a pivot
+    that vanishes raises ZeroPivot naming its row."""
     diag, off, rhs = (np.ascontiguousarray(a, dtype=np.float64) for a in (diag, off, rhs))
     n = diag.size
     if n < 1 or off.size != n - 1 or rhs.size != n:
         raise ValueError("diag and rhs must have length n >= 1 and off n - 1")
-    _writable(out, n, np.float64)
-    _writable(ratio, n, np.float64)
-    return _library().cnv_thomas(n, diag.ctypes.data, off.ctypes.data, rhs.ctypes.data, out.ctypes.data, ratio.ctypes.data)
+    out, ratio = np.empty(n), np.empty(n)
+    row = library().cnv_thomas(n, diag.ctypes.data, off.ctypes.data, rhs.ctypes.data, out.ctypes.data, ratio.ctypes.data)
+    _check_pivot(row)
+    return out
+
+
+def mm(y, lambda1: float, lambda2: float, epsilon: float, tol: float, max_iter: int, block: bool):
+    """An MM fit from beta = y (``cnv_mm``), n >= 2: the exact tridiagonal
+    solve per step, or with ``block`` one block sweep. Returns the final
+    iterate, the objective trace (its start, then one entry per
+    iteration) and whether the last decrement fell below ``tol``. The
+    fit's buffers are six arrays of n floats; the kernel runs MM_CHUNK
+    iterations per call, so the trace takes memory only for the
+    iterations run."""
+    lib = library()
+    y = np.ascontiguousarray(y, dtype=np.float64)
+    n = y.size
+    if n < 2:
+        raise ValueError("an MM fit needs n >= 2 (the scalar case is closed-form)")
+    beta, work, chunk = y.copy(), np.empty(5 * n - 2), np.empty(MM_CHUNK + 1)
+    y_at, beta_at, work_at, chunk_at = y.ctypes.data, beta.ctypes.data, work.ctypes.data, chunk.ctypes.data
+    chunk[0] = lib.cnv_objective(n, y_at, beta_at, lambda1, lambda2, epsilon, work_at)
+    parts = [chunk[:1].copy()]
+    left, converged = max_iter, False
+    while left and not converged:
+        ran = lib.cnv_mm(n, y_at, lambda1, lambda2, epsilon, tol, block, min(left, MM_CHUNK), beta_at, work_at, chunk_at)
+        if ran < 0:
+            _check_pivot(-1 - ran)
+        parts.append(chunk[1 : ran + 1].copy())
+        converged = bool(chunk[ran - 1] - chunk[ran] < tol)
+        left -= ran
+        chunk[0] = chunk[ran]
+    return beta, np.concatenate(parts), converged
 
 
 def min_plus_path(logr, losses, picks, mu, alpha: float, lambda1: float, pen, out) -> float:
@@ -121,7 +173,7 @@ def min_plus_path(logr, losses, picks, mu, alpha: float, lambda1: float, pen, ou
     if n < 1 or losses.shape != (4, n) or picks.shape != (4, n) or mu.shape != (4,) or pen.shape != (4, 4):
         raise ValueError("need n >= 1 LogR values, (4, n) losses and picks, 4 means and 4 x 4 penalties")
     _writable(out, n, np.int64)
-    return _library().cnv_min_plus_path(
+    return library().cnv_min_plus_path(
         n, logr.ctypes.data, losses.ctypes.data, picks.ctypes.data, mu.ctypes.data,
         alpha, lambda1, pen.ctypes.data, out.ctypes.data,
     )

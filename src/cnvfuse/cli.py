@@ -21,6 +21,7 @@ from itertools import compress
 
 import numpy as np
 
+from . import _kernels
 from . import dpi as dpi_mod
 from . import fused_lasso as fl
 from . import pipeline
@@ -383,6 +384,9 @@ def _fit_all(args, rows_of, parallel: bool) -> list:
             # a child would write out again whatever was left in the buffers
             sys.stdout.flush()
             sys.stderr.flush()
+            # every worker inherits the kernel library: one load, and on a
+            # cold cache one build, instead of one per worker
+            _kernels.library()
             pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
             futures = {k: pool.submit(_fit, k) for k in sorted(range(len(sequences)), key=lambda k: -sequences[k][1].n)}
         fits = []

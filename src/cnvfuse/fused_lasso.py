@@ -12,6 +12,14 @@ MM step reduces to one symmetric positive-definite tridiagonal solve
 (``solve_mm_tdm``). ``solve_mm_block`` replaces the exact solve with one
 even/odd block-relaxation sweep; it is retained only as a slow baseline
 for benchmarking.
+
+Both solvers check their input here and run the whole MM loop in one
+compiled call (``_kernels.mm``): each iteration builds the surrogate,
+takes the step, evaluates the objective and tests the decrement in C,
+with the operations of ``build_surrogate``, ``thomas_solve`` and
+``objective`` below in their order, so a fit is bit for bit the one
+those functions give when looped in Python (``tests/oracles.py``'s
+``reference_mm``). The three stay as the library's single-call forms.
 """
 
 from __future__ import annotations
@@ -22,43 +30,30 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .errors import NonFiniteInput, ZeroPivot
+from .errors import NonFiniteInput
 from .signal_model import TuningConstants, _fields_equal
 
 DEFAULT_TOL = 1e-4
 DEFAULT_MAX_ITER = 10000
 
 
-def smooth_abs(x, epsilon: float, out=None):
-    """sqrt(x^2 + epsilon): differentiable, strictly convex |x| surrogate,
-    written into ``out`` when given."""
-    return np.sqrt(np.add(np.square(x, out=out), epsilon, out=out), out=out)
+def smooth_abs(x, epsilon: float):
+    """sqrt(x^2 + epsilon): differentiable, strictly convex |x| surrogate."""
+    return np.sqrt(np.square(x) + epsilon)
 
 
-def objective(beta, y, tc: TuningConstants, *, magnitudes=None) -> float:
-    """Value of the smoothed fused-lasso criterion at ``beta``.
-
-    ``magnitudes``, a pair of float64 arrays of lengths n and n - 1,
-    receives in place the two arrays the penalties sum,
-    ``smooth_abs(beta)`` and ``smooth_abs(np.diff(beta))``, for
-    ``build_surrogate`` at the same ``beta``; the first also holds the
-    residual on the way. Without it the call allocates its own.
-    """
+def objective(beta, y, tc: TuningConstants) -> float:
+    """Value of the smoothed fused-lasso criterion at ``beta``."""
     beta = np.asarray(beta, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if beta.shape != y.shape:
         raise ValueError(f"length mismatch: beta {beta.shape} vs y {y.shape}")
-    if magnitudes is None:
-        magnitudes = (np.empty(beta.size), np.empty(max(beta.size - 1, 0)))
-    norm1, norm2 = magnitudes
-    r = np.subtract(y, beta, out=norm1)
-    # einsum sums without BLAS: `r @ r` wakes an OpenBLAS thread that
-    # spins on the other core for the rest of the solve
+    r = y - beta
+    # einsum sums without BLAS (`r @ r` wakes an OpenBLAS thread), and the
+    # MM kernel reproduces its order of additions
     value = 0.5 * float(np.einsum("i,i->", r, r))
-    smooth_abs(beta, tc.epsilon, out=norm1)
-    smooth_abs(np.subtract(beta[1:], beta[:-1], out=norm2), tc.epsilon, out=norm2)
-    for weight, norm in zip((tc.lambda1, tc.lambda2), magnitudes):
-        value += weight * float(np.sum(norm))
+    value += tc.lambda1 * float(np.sum(smooth_abs(beta, tc.epsilon)))
+    value += tc.lambda2 * float(np.sum(smooth_abs(np.diff(beta), tc.epsilon)))
     return value
 
 
@@ -103,15 +98,12 @@ class BetaFit:
     __eq__ = _fields_equal
 
 
-def build_surrogate(beta_m, y, tc: TuningConstants, *, magnitudes=None, out=None) -> TridiagonalSystem:
+def build_surrogate(beta_m, y, tc: TuningConstants) -> TridiagonalSystem:
     """Assemble the quadratic-majorizer system at the expansion point.
 
     Row i carries 1 + lambda1/||beta_i|| plus lambda2/||delta|| for each
     of the (up to two) adjacent differences; off-diagonal entries are the
-    negated fusion weights; the right-hand side is y. ``magnitudes``, as
-    ``objective`` filled it in at ``beta_m``, saves computing the norms
-    again. ``out``, a float64 system of the same size, receives the
-    surrogate in place and is returned.
+    negated fusion weights; the right-hand side is y.
     """
     beta_m = np.asarray(beta_m, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -120,36 +112,21 @@ def build_surrogate(beta_m, y, tc: TuningConstants, *, magnitudes=None, out=None
         raise ValueError("surrogate needs n >= 2 (scalar case is closed-form)")
     if y.size != n:
         raise ValueError("beta_m and y must have equal length")
-    if magnitudes is None:
-        magnitudes = (smooth_abs(beta_m, tc.epsilon), smooth_abs(np.diff(beta_m), tc.epsilon))
-    if out is None:
-        out = TridiagonalSystem(diag=np.empty(n), off=np.empty(n - 1), rhs=np.empty(n))
-    diag, w2 = out.diag, out.off
-    np.divide(tc.lambda1, magnitudes[0], out=diag)
-    np.divide(tc.lambda2, magnitudes[1], out=w2)
-    np.add(1.0, diag, out=diag)
+    w2 = tc.lambda2 / smooth_abs(np.diff(beta_m), tc.epsilon)
+    diag = 1.0 + tc.lambda1 / smooth_abs(beta_m, tc.epsilon)
     diag[:-1] += w2
     diag[1:] += w2
-    np.negative(w2, out=w2)
-    np.copyto(out.rhs, y)
-    return out
+    return TridiagonalSystem(diag=diag, off=-w2, rhs=y.copy())
 
 
-def thomas_solve(system: TridiagonalSystem, *, out=None, work=None) -> np.ndarray:
+def thomas_solve(system: TridiagonalSystem) -> np.ndarray:
     """Solve the tridiagonal system by forward elimination + back substitution.
 
     O(n) work in compiled code and no pivoting; valid because the
     surrogate is strictly diagonally dominant. A vanishing pivot raises
-    ZeroPivot. ``out`` receives the solution, which is returned, and
-    ``work`` holds the forward sweep's ratios; each is a float64 array of
-    n entries, allocated when not given.
+    ZeroPivot.
     """
-    n = system.diag.size
-    out = np.empty(n) if out is None else out
-    row = _kernels.thomas(system.diag, system.off, system.rhs, out, np.empty(n) if work is None else work)
-    if row >= 0:
-        raise ZeroPivot(f"zero pivot at row {row}")
-    return out
+    return _kernels.thomas(system.diag, system.off, system.rhs)
 
 
 def _solve_scalar(y0: float, tc: TuningConstants) -> BetaFit:
@@ -184,9 +161,8 @@ def _solve_scalar(y0: float, tc: TuningConstants) -> BetaFit:
     return BetaFit(np.array([b]), fit, 1, True, np.array([f0, fit]))
 
 
-def _solve_mm(y, tc: TuningConstants, tol: float, max_iter: int, step) -> BetaFit:
-    """The MM loop of both solvers. Each iteration builds the surrogate at
-    the current iterate and takes ``beta = step(system, beta)``."""
+def _solve(y, tc: TuningConstants, tol: float, max_iter: int, block: bool) -> BetaFit:
+    """Check the input of either solver and run its MM fit in C."""
     y = np.asarray(y, dtype=np.float64)
     if y.ndim != 1 or y.size < 1:
         raise ValueError("y must be a 1-D vector of length >= 1")
@@ -198,27 +174,8 @@ def _solve_mm(y, tc: TuningConstants, tol: float, max_iter: int, step) -> BetaFi
         raise ValueError("max_iter must be positive")
     if y.size == 1:
         return _solve_scalar(float(y[0]), tc)
-
-    # An iteration writes into these buffers, and with the Thomas step it
-    # allocates no n-sized array: a temporary above glibc's mmap threshold
-    # (128 KiB, n = 16k) would be mapped and faulted in afresh each time.
-    # The surrogate at each iterate reuses the norms its objective summed.
-    n = y.size
-    magnitudes = (np.empty(n), np.empty(n - 1))
-    system = TridiagonalSystem(diag=np.empty(n), off=np.empty(n - 1), rhs=np.empty(n))
-    beta = y.copy()
-    f_cur = objective(beta, y, tc, magnitudes=magnitudes)
-    trace = [f_cur]
-    converged = False
-    for _ in range(max_iter):
-        beta = step(build_surrogate(beta, y, tc, magnitudes=magnitudes, out=system), beta)
-        f_new = objective(beta, y, tc, magnitudes=magnitudes)
-        trace.append(f_new)
-        converged = f_cur - f_new < tol
-        f_cur = f_new
-        if converged:
-            break
-    return BetaFit(beta, f_cur, len(trace) - 1, converged, np.asarray(trace))
+    beta, trace, converged = _kernels.mm(y, tc.lambda1, tc.lambda2, tc.epsilon, tol, max_iter, block)
+    return BetaFit(beta, float(trace[-1]), trace.size - 1, converged, trace)
 
 
 def solve_mm_tdm(
@@ -236,22 +193,7 @@ def solve_mm_tdm(
     (sqrt(lambda1) + 2*sqrt(lambda2)) * sqrt(2*tol) / eps^(1/4) in
     max-norm; in practice it is far smaller (see the test suite).
     """
-    work = np.empty(np.size(y))
-    # each solve overwrites the iterate it replaces
-    return _solve_mm(y, tc, tol, max_iter, lambda system, beta: thomas_solve(system, out=beta, work=work))
-
-
-def _block_sweep(system: TridiagonalSystem, beta: np.ndarray) -> np.ndarray:
-    """The step of ``solve_mm_block``; updates ``beta`` in place."""
-    # sub[i] = a[i, i-1], sup[i] = a[i, i+1], and the neighbours
-    # left[i] = beta[i-1], right[i] = beta[i+1], with zero padding at ends
-    sub = np.concatenate(([0.0], system.off))
-    sup = np.concatenate((system.off, [0.0]))
-    for idx in (slice(1, None, 2), slice(0, None, 2)):
-        left = np.concatenate(([0.0], beta[:-1]))
-        right = np.concatenate((beta[1:], [0.0]))
-        beta[idx] = (system.rhs[idx] - sub[idx] * left[idx] - sup[idx] * right[idx]) / system.diag[idx]
-    return beta
+    return _solve(y, tc, tol, max_iter, block=False)
 
 
 def solve_mm_block(
@@ -268,5 +210,5 @@ def solve_mm_block(
     an independent scalar quadratic minimization, so descent still holds;
     convergence, however, is dramatically slower.
     """
-    return _solve_mm(y, tc, tol, max_iter, _block_sweep)
+    return _solve(y, tc, tol, max_iter, block=True)
 

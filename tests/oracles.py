@@ -3,14 +3,16 @@
 None of these runs in a CLI or library route: the fused-lasso gradient
 and the soft-thresholding identity (acceptance criteria 1 and 5), the
 exact solution of the non-smoothed fused-lasso criterion and the MM loop
-that computes every surrogate and objective from scratch
-(tests/test_fused_lasso.py), and, for the discrete objective (criterion 6
-and tests/test_dpi.py), the per-state losses, the exhaustive search over
-every state sequence and the re-evaluation of one path. The pure-Python
-forms of the compiled kernels' DP recursion (``min_plus_path``, on the
-columns of ``stage_columns``, with ``trace_back``) are the references the
-kernels are held to bit for bit; the Thomas solve's is
-``tests/test_fused_lasso.py``'s ``reference_thomas_solve``.
+that computes every surrogate and objective from scratch, with the block
+sweep that is ``solve_mm_block``'s step (tests/test_fused_lasso.py), and,
+for the discrete objective (criterion 6 and tests/test_dpi.py), the
+per-state losses, the exhaustive search over every state sequence and the
+re-evaluation of one path. The pure-Python forms of the compiled kernels
+are the references they are held to bit for bit: the DP recursion's
+(``min_plus_path``, on the columns of ``stage_columns``, with
+``trace_back``), the MM fit's (``reference_mm``, with ``block_sweep``)
+and the Thomas solve's (``tests/test_fused_lasso.py``'s
+``reference_thomas_solve``).
 """
 
 import numpy as np
@@ -63,13 +65,28 @@ def soft_threshold_check(
     return float(np.max(np.abs(thresholded - fit1.beta)))
 
 
+def block_sweep(system, beta: np.ndarray) -> np.ndarray:
+    """The step of ``solve_mm_block``: odd-indexed coordinates minimize the
+    surrogate given their neighbours, then even-indexed ones. Updates
+    ``beta`` in place."""
+    # sub[i] = a[i, i-1], sup[i] = a[i, i+1], and the neighbours
+    # left[i] = beta[i-1], right[i] = beta[i+1], with zero padding at ends
+    sub = np.concatenate(([0.0], system.off))
+    sup = np.concatenate((system.off, [0.0]))
+    for idx in (slice(1, None, 2), slice(0, None, 2)):
+        left = np.concatenate(([0.0], beta[:-1]))
+        right = np.concatenate((beta[1:], [0.0]))
+        beta[idx] = (system.rhs[idx] - sub[idx] * left[idx] - sup[idx] * right[idx]) / system.diag[idx]
+    return beta
+
+
 def reference_mm(y, tc: TuningConstants, tol: float, max_iter: int, step) -> BetaFit:
-    """The MM loop with nothing shared between calls: at each iterate
-    ``build_surrogate`` and ``objective`` compute their norms from scratch,
-    and ``beta = step(system, beta)`` takes the step. ``solve_mm_tdm``
-    (step ``thomas_solve``) and ``solve_mm_block`` (step
-    ``fused_lasso._block_sweep``) must return the same BetaFit bit for
-    bit. A track of one SNP has the closed-form scalar solve."""
+    """The MM loop in Python, from the library's single-call forms: at
+    each iterate ``build_surrogate`` and ``objective`` compute their norms
+    from scratch, and ``beta = step(system, beta)`` takes the step.
+    ``solve_mm_tdm`` (step: a Thomas solve) and ``solve_mm_block`` (step
+    ``block_sweep``), whose loop runs in C, must return the same BetaFit
+    bit for bit. A track of one SNP has the closed-form scalar solve."""
     y = np.asarray(y, dtype=np.float64)
     if y.size == 1:
         return fused_lasso._solve_scalar(float(y[0]), tc)

@@ -18,7 +18,7 @@ try:
 except ImportError:  # the property test is skipped without hypothesis
     given = None
 
-from cnvfuse import fused_lasso
+from cnvfuse import _kernels
 from cnvfuse.errors import NonFiniteInput, ZeroPivot
 from cnvfuse.fused_lasso import (
     DEFAULT_MAX_ITER,
@@ -34,7 +34,7 @@ from cnvfuse.fused_lasso import (
 from cnvfuse.signal_model import TuningConstants
 from cnvfuse.simulate import CnvType, SimSpec, generate
 
-from oracles import exact_fused_lasso, exact_objective, gradient, reference_mm, soft_threshold_check
+from oracles import block_sweep, exact_fused_lasso, exact_objective, gradient, reference_mm, soft_threshold_check
 
 
 def dense_matrix(system):
@@ -279,16 +279,14 @@ class TestThomasEquivalence:
             beta = thomas_solve(system)
             assert_same_bits(beta, reference_thomas_solve(system))
 
-    def test_solve_mm_tdm_unchanged(self, monkeypatch):
+    def test_solve_mm_tdm_unchanged(self):
+        # the fit's loop runs in C; the reference loops in Python over the
+        # indexed sweep, so no C sits in it
         y = simulated_logr(13000, 7, CnvType.DUPLICATION)
         tc = TuningConstants(0.2, 0.2 * 2 * np.sqrt(np.log(y.size)))
-        fit = solve_mm_tdm(y, tc)
-        monkeypatch.setattr(fused_lasso, "thomas_solve", lambda system, **buffers: reference_thomas_solve(system))
-        ref = solve_mm_tdm(y, tc)
-        assert fit.iterations == ref.iterations and fit.converged == ref.converged
-        assert_same_bits(fit.beta, ref.beta)
-        assert_same_bits(fit.objective_trace, ref.objective_trace)
-        assert fit.objective == ref.objective
+        ref = reference_mm(y, tc, DEFAULT_TOL, DEFAULT_MAX_ITER, lambda system, beta: reference_thomas_solve(system))
+        assert ref.iterations > 10
+        assert_same_fit(solve_mm_tdm(y, tc), ref)
 
     @pytest.mark.parametrize(
         "diag,off,row",
@@ -365,7 +363,7 @@ def assert_same_fit(fit, ref):
 #: each solver with the step the reference loop takes in its place
 SOLVERS = (
     (solve_mm_tdm, lambda system, beta: thomas_solve(system)),
-    (solve_mm_block, fused_lasso._block_sweep),
+    (solve_mm_block, block_sweep),
 )
 
 
@@ -376,10 +374,11 @@ def stepped_logr(rng, n):
 
 
 class TestMmLoopAgainstReference:
-    """Both solvers against ``oracles.reference_mm``, whose surrogate and
-    objective compute their norms from scratch at every iterate: the
-    solvers reuse the objective's norms for the next surrogate, and must
-    give the same fit bit for bit."""
+    """Both solvers against ``oracles.reference_mm``, which loops in Python
+    over the library's single-call forms, computing every norm from scratch
+    at every iterate: the solvers run the whole loop in C, reusing the
+    objective's norms for the next surrogate, and must give the same fit
+    bit for bit."""
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_shortest_tracks(self, n):
@@ -422,41 +421,102 @@ class TestMmLoopAgainstReference:
         fit = solve_mm_block(y, tc, max_iter=30)
         assert_same_fit(fit, reference_mm(y, tc, DEFAULT_TOL, 30, SOLVERS[1][1]))
 
-    @pytest.mark.parametrize("n", [1, 2, 500])
-    def test_objective_hands_out_the_surrogates_norms(self, n):
+    @pytest.mark.parametrize("chunk", [1, 2, 7])
+    def test_fit_across_kernel_calls(self, monkeypatch, chunk):
+        # the kernel runs MM_CHUNK iterations per call; with small chunks a
+        # fit carries its iterate, norms and trace across many calls, and
+        # converges or runs out of iterations at a boundary or between two
+        monkeypatch.setattr(_kernels, "MM_CHUNK", chunk)
+        rng = np.random.default_rng(18)
+        y = stepped_logr(rng, 300)
+        tc = TuningConstants(0.1, 1.0)
+        for (solve, step), last in zip(SOLVERS, (DEFAULT_MAX_ITER, 40)):
+            for max_iter in (1, 14, 15, last):
+                assert_same_fit(solve(y, tc, max_iter=max_iter), reference_mm(y, tc, DEFAULT_TOL, max_iter, step))
+
+    def test_block_fit_past_two_kernel_calls(self):
+        rng = np.random.default_rng(19)
+        y = stepped_logr(rng, 60)
+        tc = TuningConstants(0.1, 1.0)
+        max_iter = 2 * _kernels.MM_CHUNK + 5
+        fit = solve_mm_block(y, tc, tol=1e-300, max_iter=max_iter)
+        assert fit.iterations == max_iter
+        assert_same_fit(fit, reference_mm(y, tc, 1e-300, max_iter, block_sweep))
+
+    def test_zero_pivot_in_the_loop(self):
+        # out of reach of a valid TuningConstants (every pivot is >= 1);
+        # a negative lambda1 makes the first surrogate's diagonal 0 at y = 0
+        with pytest.raises(ZeroPivot, match="^zero pivot at row 0$"):
+            _kernels.mm(np.zeros(3), -1.0, 0.0, 1.0, DEFAULT_TOL, 10, False)
+
+
+def kernel_objective(beta, y, tc):
+    """``cnv_objective``, the objective the MM kernel evaluates at each
+    iterate, and the smoothed norms it leaves for the next surrogate."""
+    beta, y = (np.ascontiguousarray(a, dtype=np.float64) for a in (beta, y))
+    norms = np.full(2 * y.size - 1, np.nan)
+    value = _kernels.library().cnv_objective(
+        y.size, y.ctypes.data, beta.ctypes.data, tc.lambda1, tc.lambda2, tc.epsilon, norms.ctypes.data
+    )
+    return value, norms[: y.size], norms[y.size :]
+
+
+def assert_same_objective(beta, y, tc):
+    value, norm1, norm2 = kernel_objective(beta, y, tc)
+    want = objective(beta, y, tc)
+    assert np.float64(value).tobytes() == np.float64(want).tobytes(), (value, want)
+    assert_same_bits(norm1, smooth_abs(beta, tc.epsilon))
+    assert_same_bits(norm2, smooth_abs(np.diff(beta), tc.epsilon))
+
+
+class TestKernelObjective:
+    """The kernel's objective against ``fused_lasso.objective`` bit for
+    bit: its squared residual in ``np.einsum``'s order (blocks of 8, a
+    tail, buffers of 8 192) and its norm sums in ``np.sum``'s pairwise
+    order (blocks of 128, halves above)."""
+
+    LENGTHS = [*range(1, 10), 15, 16, 17, 127, 128, 129, 255, 256, 257, 8191, 8192, 8193, 16383, 16384, 16385]
+
+    @pytest.mark.parametrize("n", LENGTHS)
+    def test_random_iterates(self, n):
         rng = np.random.default_rng(n)
-        beta, y = rng.normal(size=n), rng.normal(size=n)
-        tc = TuningConstants(0.3, 0.7)
-        magnitudes = (np.full(n, np.nan), np.full(n - 1, np.nan))  # written in place
-        assert objective(beta, y, tc, magnitudes=magnitudes) == objective(beta, y, tc)
-        assert_same_bits(magnitudes[0], smooth_abs(beta, tc.epsilon))
-        assert_same_bits(magnitudes[1], smooth_abs(np.diff(beta), tc.epsilon))
-        if n > 1:
-            shared = build_surrogate(beta, y, tc, magnitudes=magnitudes)
-            own = build_surrogate(beta, y, tc)
-            for field in ("diag", "off", "rhs"):
-                assert_same_bits(getattr(shared, field), getattr(own, field))
+        y = stepped_logr(rng, n)
+        for beta in (y + rng.normal(0.0, 0.3, n), np.zeros(n)):
+            for tc in (TuningConstants(0.3, 0.7), TuningConstants(0.0, 2.5, epsilon=1e-3)):
+                assert_same_objective(beta, y, tc)
+
+    @pytest.mark.parametrize("n", LENGTHS)
+    def test_signed_zeros_and_wide_magnitudes(self, n):
+        rng = np.random.default_rng(1000 + n)
+        values = np.array([0.0, -0.0, 1e-300, -1e-160, 5e-324, 1e-8, -3.0, 1e100, -1e150])
+        beta, y = rng.choice(values, n), rng.choice(values, n)
+        # magnitudes spread over 30 orders, so every addition rounds
+        y[: n // 2] = rng.normal(size=n // 2) * 10.0 ** rng.integers(-15, 15, n // 2)
+        for tc in (TuningConstants(0.3, 0.7), TuningConstants(0.0, 0.0, epsilon=1e-300), TuningConstants(1e-200, 1e200)):
+            assert_same_objective(beta, y, tc)
 
 
 class TestSolveMmTdm:
-    @pytest.mark.parametrize("max_iter", [1, 30])
+    @pytest.mark.parametrize("max_iter", [1, 30, 10**12])
     def test_iterations_allocate_no_track_sized_array(self, max_iter):
-        # the fit holds seven arrays of n floats: the iterate, the two
-        # norms, the system's three fields and the solve's ratios; a
-        # temporary of one more n-sized array in any iteration would
-        # raise the peak by 8n bytes
+        # the iterations run in C, in the kernel's buffers: the iterate and
+        # a work array of five more, the two norms, the surrogate's diagonal
+        # and off-diagonal and the solve's ratios. The trace grows by chunks
+        # of MM_CHUNK iterations, so max_iter=10**12 (a fit run to its
+        # tolerance) allocates only the iterations run
+        tol = DEFAULT_TOL if max_iter == 10**12 else 1e-300
         n = 50000
         y = simulated_logr(n, 9)
         tc = TuningConstants(0.2, 0.2 * 2 * np.sqrt(np.log(n)))
         solve_mm_tdm(y[:100], tc)  # the kernels are loaded before tracing
         tracemalloc.start()
         try:
-            fit = solve_mm_tdm(y, tc, tol=1e-300, max_iter=max_iter)
+            fit = solve_mm_tdm(y, tc, tol=tol, max_iter=max_iter)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert fit.iterations == max_iter
-        assert peak < 7.5 * 8 * n
+        assert fit.iterations == max_iter if max_iter < 10**12 else fit.converged
+        assert peak < 6 * 8 * n + 16 * (_kernels.MM_CHUNK + fit.iterations) + 4096
 
     def test_fits_compare_arrays_by_value(self):
         y = simulated_logr(300, 7)

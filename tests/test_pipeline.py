@@ -229,7 +229,7 @@ def test_import_builds_and_loads_no_kernels(tmp_path):
         "import sys\n"
         "import cnvfuse.cli\n"
         "from cnvfuse import _kernels\n"
-        "print(_kernels._library.cache_info().currsize, [m for m in ('subprocess', 'sysconfig') if m in sys.modules])\n"
+        "print(_kernels.library.cache_info().currsize, [m for m in ('subprocess', 'sysconfig') if m in sys.modules])\n"
     )
     env = dict(os.environ, PYTHONPATH=str(tmp_path))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)

@@ -14,9 +14,11 @@ It runs the same commands with ``PYTHONPATH=OLD_SRC`` and
 ``PYTHONPATH=NEW_SRC``:
 
 * ``segment-fl`` with its ``split_at.txt``, on the genome, on the genome
-  with ``--max-iter 5`` (a warning per sequence) and on the genome with
-  the 2-SNP chromosome (an error), each once with the worker pool and
-  once pinned to one CPU with ``taskset -c 0`` (where taskset exists);
+  with ``--max-iter 5`` (a warning per sequence), on the genome with
+  ``--max-iter 1000000000`` (a bound no fit reaches, which the fit must
+  not allocate a trace for) and on the genome with the 2-SNP chromosome
+  (an error), each once with the worker pool and once pinned to one CPU
+  with ``taskset -c 0`` (where taskset exists);
 * ``segment-dpi`` with its ``split_at.txt`` and ``--segments-out``, on the
   genome and on the genome with the 2-SNP chromosome;
 * ``segment-fl`` and ``segment-dpi`` (with ``--segments-out``), each with
@@ -107,6 +109,7 @@ def cases(inputs: dict[int, str]):
         fl_inputs = [
             ("", track, []),
             (", --max-iter 5", track, ["--max-iter", "5"]),
+            (", --max-iter 1000000000", track, ["--max-iter", "1000000000"]),
             (" + 2-SNP chromosome", short, []),
         ]
         dpi_inputs = [("", track), (" + 2-SNP chromosome", short)]
