@@ -15,13 +15,11 @@ import dataclasses
 import inspect
 import logging
 import operator
-import os
 import sys
 from itertools import compress
 
 import numpy as np
 
-from . import _kernels
 from . import dpi as dpi_mod
 from . import fused_lasso as fl
 from . import pipeline
@@ -330,19 +328,10 @@ def _dpi_rows(args, chrom, track) -> tuple[tuple[list[str], list[str]], None]:
     return (snp_rows, seg_rows), None
 
 
-# (rows_of, args, sequences) of the fit in progress. Forked workers
-# inherit it and are sent only sequence indices, so no track is pickled,
-# and no function that a tracer has replaced by a closure. Forked workers
-# also skip the ~0.1 s import of numpy and cnvfuse that a spawned one
-# repeats; the CLI starts no thread of its own before it forks.
-_job = None
-
-
-def _fit(k):
-    """``rows_of(args, chrom, track)`` for sequence k of ``_job``; a
+def _fit(rows_of, args, sequences, k):
+    """``rows_of(args, chrom, track)`` for sequence k of ``sequences``; a
     CnvFuseError raised for the sequence names it. The sequence leaves
-    the job's list as it is taken, so its track is freed with its rows."""
-    rows_of, args, sequences = _job
+    the list as it is taken, so its track is freed with its rows."""
     chrom, track = sequences[k]
     sequences[k] = None
     try:
@@ -351,55 +340,19 @@ def _fit(k):
         raise type(exc)(f"{_where(chrom, track)}: {exc}") from exc
 
 
-def _worker_count(n_sequences: int) -> int:
-    """Worker processes to fit n_sequences in: one per CPU this process
-    may use, at most one per sequence, or 1 (fit in-process) where there
-    is no fork."""
-    if not hasattr(os, "fork"):
-        return 1
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:
-        cpus = os.cpu_count() or 1
-    return min(cpus, n_sequences)
-
-
-def _fit_all(args, rows_of, parallel: bool) -> list:
-    """The rows of every sequence, in input order. ``rows_of(args, chrom,
-    track)`` returns (rows, warning or None); a warning is logged when its
-    sequence is reached in input order. With ``parallel``, the sequences are
-    fitted longest first in forked workers (see ``_worker_count``); on an
-    error the work not yet started is cancelled, and every worker is reaped
-    before this returns or raises."""
-    global _job
+def _fit_all(args, rows_of) -> list:
+    """The rows of every sequence, fitted in-process one after the other
+    in input order. ``rows_of(args, chrom, track)`` returns (rows, warning
+    or None); a warning is logged once its sequence is fitted, and the
+    first error stops the run."""
     sequences = _sequences(args)
-    workers = _worker_count(len(sequences)) if parallel else 1
-    pool = None
-    _job = (rows_of, args, sequences)
-    try:
-        if workers > 1:
-            import multiprocessing
-            from concurrent.futures import ProcessPoolExecutor
-
-            # a child would write out again whatever was left in the buffers
-            sys.stdout.flush()
-            sys.stderr.flush()
-            # every worker inherits the kernel library: one load, and on a
-            # cold cache one build, instead of one per worker
-            _kernels.library()
-            pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
-            futures = {k: pool.submit(_fit, k) for k in sorted(range(len(sequences)), key=lambda k: -sequences[k][1].n)}
-        fits = []
-        for k in range(len(sequences)):
-            rows, warning = futures[k].result() if pool else _fit(k)
-            if warning is not None:
-                logger.warning("%s", warning)
-            fits.append(rows)
-        return fits
-    finally:
-        if pool is not None:
-            pool.shutdown(wait=True, cancel_futures=True)
-        _job = None
+    fits = []
+    for k in range(len(sequences)):
+        rows, warning = _fit(rows_of, args, sequences, k)
+        if warning is not None:
+            logger.warning("%s", warning)
+        fits.append(rows)
+    return fits
 
 
 def _write_lines(path, lines):
@@ -413,7 +366,7 @@ def _write_lines(path, lines):
 
 def cmd_segment_fl(args) -> int:
     lines = ["\t".join(["chrom", "start_pos", "end_pos", "n_snps", "mean_beta", "z", "p", "call"])]
-    for rows in _fit_all(args, _fl_rows, parallel=True):
+    for rows in _fit_all(args, _fl_rows):
         lines.extend(rows)
     _write_lines(args.output, lines)
     return 0
@@ -422,7 +375,7 @@ def cmd_segment_fl(args) -> int:
 def cmd_segment_dpi(args) -> int:
     snp_lines = ["\t".join(["snp_id", "chrom", "pos", "genotype_state", "copy_number"])]
     seg_lines = ["\t".join(["chrom", "start_pos", "end_pos", "n_snps", "copy_number"])]
-    for snp_rows, seg_rows in _fit_all(args, _dpi_rows, parallel=False):
+    for snp_rows, seg_rows in _fit_all(args, _dpi_rows):
         snp_lines.extend(snp_rows)
         seg_lines.extend(seg_rows)
     _write_lines(args.output, snp_lines)

@@ -1,11 +1,8 @@
 """End-to-end tests for the command-line interface."""
 
 import argparse
-import concurrent.futures
 import logging
 import math
-import multiprocessing
-import time
 import weakref
 
 import numpy as np
@@ -746,37 +743,15 @@ def _sequences_file(tmp_path, lengths):
     return path
 
 
-def _run_with_workers(monkeypatch, caplog, capsys, workers, argv):
-    """Run the CLI with the pool's worker count set to ``workers``; return
-    the exit code, stdout, stderr and the warnings logged, and check that
-    the pool ran exactly when ``workers`` > 1 and left no process behind."""
-    pools = []
-    pool_class = concurrent.futures.ProcessPoolExecutor
-    monkeypatch.setattr(cli, "_worker_count", lambda n_sequences: workers)
-    monkeypatch.setattr(
-        concurrent.futures, "ProcessPoolExecutor", lambda n, **kw: pools.append(n) or pool_class(n, **kw)
-    )
+def _run_logged(caplog, capsys, argv):
+    """Run the CLI; return the exit code, stdout, stderr and the warnings
+    logged."""
     caplog.clear()
     with caplog.at_level("WARNING", logger="cnvfuse.cli"):
         code = run_cli(argv)
-    assert pools == ([workers] if workers > 1 else [])
-    assert multiprocessing.active_children() == []
     captured = capsys.readouterr()
     warnings = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
     return code, captured.out, captured.err, warnings
-
-
-def _finish_last(monkeypatch, chrom):
-    """Start the fit of chromosome ``chrom`` half a second late, so that
-    it finishes after the fits of the other short sequences."""
-    fl_rows = cli._fl_rows
-
-    def late(args, c, track):
-        if c == chrom:
-            time.sleep(0.5)
-        return fl_rows(args, c, track)
-
-    monkeypatch.setattr(cli, "_fl_rows", late)
 
 
 def test_each_sequence_is_freed_once_fitted(tmp_path):
@@ -789,73 +764,45 @@ def test_each_sequence_is_freed_once_fitted(tmp_path):
         fitted.append(weakref.ref(track))
         return chrom, None
 
-    assert cli._fit_all(args, rows_of, parallel=False) == ["1", "2", "2", "3", "4"]
+    assert cli._fit_all(args, rows_of) == ["1", "2", "2", "3", "4"]
     assert [ref() for ref in fitted] == [None] * 5
 
 
 class TestWorkerPool:
-    LENGTHS = (300, 900, 500, 700)
+    """A file of several sequences: warnings in input order, the failing
+    sequence named, and no output when one fails."""
 
-    @pytest.mark.parametrize("flags", [[], ["--max-iter", "1"], ["--split-at", "2:2500000"]])
-    def test_output_does_not_depend_on_workers(self, tmp_path, monkeypatch, caplog, capsys, flags):
-        track = _sequences_file(tmp_path, self.LENGTHS)
-        runs = []
-        for workers in (1, 2, 3):
-            out = tmp_path / f"seg{workers}.tsv"
-            argv = ["segment-fl", track, "--output", out, *flags]
-            code, stdout, stderr, warnings = _run_with_workers(monkeypatch, caplog, capsys, workers, argv)
-            assert code == 0 and stdout == stderr == ""
-            runs.append((out.read_bytes(), warnings))
-            code, stdout, _, _ = _run_with_workers(monkeypatch, caplog, capsys, workers, argv[:2] + flags)
-            assert code == 0 and stdout.encode() == runs[-1][0]
-        assert runs[1] == runs[0] and runs[2] == runs[0]
-        assert len(runs[0][0].splitlines()) > len(self.LENGTHS)
-
-    def test_unconverged_sequences_are_warned_in_input_order(
-        self, tmp_path, monkeypatch, caplog, capsys
-    ):
-        # sent out as 2, 1, 3 and finished as 2, 3, 1
+    def test_unconverged_sequences_are_warned_in_input_order(self, tmp_path, caplog, capsys):
         track = _sequences_file(tmp_path, (400, 1200, 300))
-        _finish_last(monkeypatch, "1")
         argv = ["segment-fl", track, "--output", tmp_path / "seg.tsv", "--max-iter", "1"]
-        _, _, _, warnings = _run_with_workers(monkeypatch, caplog, capsys, 2, argv)
+        _, _, _, warnings = _run_logged(caplog, capsys, argv)
         assert warnings == [
             f"chromosome {chrom} (positions 5000-{last}): MM stopped at max_iter=1 without converging"
             for chrom, last in ((1, 2_000_000), (2, 6_000_000), (3, 1_500_000))
         ]
 
-    @pytest.mark.parametrize("workers", [1, 2, 3])
     @pytest.mark.parametrize(
         "lengths, named",
         [
             ((30, 900, 500, 700), "1 (positions 5000-150000): need at least 40 values to estimate sigma, got 30"),
             ((300, 900, 500, 30), "4 (positions 5000-150000): need at least 40 values to estimate sigma, got 30"),
-            # the later short sequence fails first
+            # the first of two short sequences
             ((300, 20, 500, 30), "2 (positions 5000-100000): need at least 40 values to estimate sigma, got 20"),
         ],
     )
-    def test_failing_sequence_is_named(
-        self, tmp_path, monkeypatch, caplog, capsys, workers, lengths, named
-    ):
+    def test_failing_sequence_is_named(self, tmp_path, caplog, capsys, lengths, named):
         track = _sequences_file(tmp_path, lengths)
-        _finish_last(monkeypatch, named.split()[0])
         out = tmp_path / "seg.tsv"
-        code, stdout, stderr, _ = _run_with_workers(
-            monkeypatch, caplog, capsys, workers, ["segment-fl", track, "--output", out]
-        )
+        code, stdout, stderr, _ = _run_logged(caplog, capsys, ["segment-fl", track, "--output", out])
         assert code == 1 and stdout == ""
         assert stderr == f"cnvfuse: error: chromosome {named}\n"
         assert not out.exists()
 
-    @pytest.mark.parametrize("workers", [1, 2, 3])
-    def test_warnings_before_a_failing_sequence_are_kept(
-        self, tmp_path, monkeypatch, caplog, capsys, workers
-    ):
-        # the later sequence 4 may be fitted, but its warning is not logged
+    def test_warnings_before_a_failing_sequence_are_kept(self, tmp_path, caplog, capsys):
         track = _sequences_file(tmp_path, (400, 1200, 30, 300))
         out = tmp_path / "seg.tsv"
         argv = ["segment-fl", track, "--output", out, "--max-iter", "1"]
-        code, stdout, stderr, warnings = _run_with_workers(monkeypatch, caplog, capsys, workers, argv)
+        code, stdout, stderr, warnings = _run_logged(caplog, capsys, argv)
         assert warnings == [
             f"chromosome {chrom} (positions 5000-{last}): MM stopped at max_iter=1 without converging"
             for chrom, last in ((1, 2_000_000), (2, 6_000_000))

@@ -1,7 +1,6 @@
 """Tests for the loader of the compiled kernels (cnvfuse._kernels): the
 build on first use into a cache beside the source, concurrent cold
-starts, one build for a worker pool, a failed build and the log line
-that says which happened. The
+starts, a failed build and the log line that says which happened. The
 kernels' arithmetic is held to its Python references in
 tests/test_fused_lasso.py and tests/test_dpi.py."""
 
@@ -31,15 +30,6 @@ SOLVE = (
     "from cnvfuse.fused_lasso import TridiagonalSystem, thomas_solve\n"
     "system = TridiagonalSystem(np.array([4.0, 5.0, 6.0]), np.array([-1.0, 2.0]), np.array([1.0, 2.0, 3.0]))\n"
     "print(thomas_solve(system).tobytes().hex())\n"
-)
-
-
-POOL_RUN = (
-    "import logging, sys\n"
-    "logging.basicConfig(level=logging.DEBUG, format='%(message)s')\n"
-    "from cnvfuse import cli\n"
-    "cli._worker_count = lambda n_sequences: 2\n"
-    "sys.exit(cli.main(sys.argv[1:]))\n"
 )
 
 
@@ -84,31 +74,6 @@ def test_cold_cache_race_leaves_one_library(tmp_path):
         match = re.fullmatch(LOG_LINE, line)
         assert match and library in match.groups()
     assert any(line.startswith("built") for line in lines)
-
-
-def test_worker_pool_builds_the_library_once(tmp_path):
-    # the segment-fl parent loads the library before it forks, so its two
-    # workers inherit it instead of each building it on the cold cache
-    root = _fresh_copy(tmp_path)
-    lines = []
-    for chrom in (1, 2):
-        part = tmp_path / f"chrom{chrom}.tsv"
-        argv = ["simulate", "--n", "300", "--seed", str(chrom), "--chrom", str(chrom), "--output", str(part)]
-        assert cli.main(argv) == 0
-        lines += part.read_text().splitlines()[chrom > 1 :]
-    track = tmp_path / "track.tsv"
-    track.write_text("\n".join(lines) + "\n")
-    run = subprocess.run(
-        [sys.executable, "-c", POOL_RUN, "segment-fl", str(track), "--output", str(tmp_path / "seg.tsv")],
-        env=_env(root),
-        capture_output=True,
-        text=True,
-        timeout=120,
-    )
-    assert run.returncode == 0, run.stderr
-    logged = [line for line in run.stderr.splitlines() if "kernel library" in line]
-    assert len(logged) == 1 and re.fullmatch(LOG_LINE, logged[0]) and logged[0].startswith("built ")
-    assert len(_cache_files(root)) == 1
 
 
 def test_failed_build_is_one_error_naming_the_command(tmp_path):

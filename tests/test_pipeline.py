@@ -147,27 +147,10 @@ def _run_routes(tmp_path, path, tag):
     return [out.read_bytes() for out in (fl, dpi, seg)]
 
 
-def test_traced_output_with_worker_pool_is_unchanged(tmp_path, monkeypatch):
+def test_tracer_sees_every_layer(tmp_path):
     tracing = _load_tracing()
     path = _track_file(tmp_path)
     plain = _run_routes(tmp_path, path, "plain")
-    monkeypatch.setattr(cli, "_worker_count", lambda n_sequences: 2)
-    tracer = tracing.Tracer()
-    tracer.install()
-    try:
-        traced = _run_routes(tmp_path, path, "traced")
-    finally:
-        tracer.uninstall()
-    assert traced == plain
-
-
-def test_tracer_sees_every_layer(tmp_path, monkeypatch):
-    tracing = _load_tracing()
-    path = _track_file(tmp_path)
-    plain = _run_routes(tmp_path, path, "plain")
-    # spans recorded in forked workers stay there; with one usable CPU (as
-    # under taskset -c 0) segment-fl fits every sequence in-process
-    monkeypatch.setattr(cli, "_worker_count", lambda n_sequences: 1)
     tracer = tracing.Tracer()
     tracer.install()
     try:
@@ -204,18 +187,14 @@ def test_pool_modules_are_imported_only_for_a_pool(tmp_path):
         "from cnvfuse import cli\n"
         "pool = ('multiprocessing', 'concurrent.futures')\n"
         "print([m for m in pool if m in sys.modules])\n"
-        "assert cli.main(['segment-dpi', sys.argv[1], '--output', sys.argv[3]]) == 0\n"
-        "assert cli.main(['segment-fl', sys.argv[2], '--output', sys.argv[3]]) == 0\n"
-        "print([m for m in pool if m in sys.modules])\n"
-        "cli._worker_count = lambda n_sequences: 2\n"
-        "assert cli.main(['segment-fl', sys.argv[1], '--output', sys.argv[3]]) == 0\n"
+        "assert cli.main(['segment-dpi', sys.argv[1], '--output', sys.argv[2]]) == 0\n"
+        "assert cli.main(['segment-fl', sys.argv[1], '--output', sys.argv[2]]) == 0\n"
         "print([m for m in pool if m in sys.modules])\n"
     )
-    two, one = _track_file(tmp_path), _track_file(tmp_path, chroms=("1",))
-    argv = [sys.executable, "-c", code, str(two), str(one), str(tmp_path / "out.tsv")]
+    argv = [sys.executable, "-c", code, str(_track_file(tmp_path)), str(tmp_path / "out.tsv")]
     env = dict(os.environ, PYTHONPATH=str(Path(cnvfuse.__file__).resolve().parents[1]))
     out = subprocess.run(argv, env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.splitlines() == ["[]", "[]", "['multiprocessing', 'concurrent.futures']"]
+    assert out.stdout.splitlines() == ["[]", "[]"]
 
 
 def test_import_builds_and_loads_no_kernels(tmp_path):

@@ -17,8 +17,7 @@ It runs the same commands with ``PYTHONPATH=OLD_SRC`` and
   with ``--max-iter 5`` (a warning per sequence), on the genome with
   ``--max-iter 1000000000`` (a bound no fit reaches, which the fit must
   not allocate a trace for) and on the genome with the 2-SNP chromosome
-  (an error), each once with the worker pool and once pinned to one CPU
-  with ``taskset -c 0`` (where taskset exists);
+  (an error);
 * ``segment-dpi`` with its ``split_at.txt`` and ``--segments-out``, on the
   genome and on the genome with the 2-SNP chromosome;
 * ``segment-fl`` and ``segment-dpi`` (with ``--segments-out``), each with
@@ -39,8 +38,7 @@ it, ``python -c "... from cnvfuse.cli import main ..."``. At exit that
 wrapper writes the process's peak resident set (``VmHWM`` from
 ``/proc/self/status``, in kB) to a file outside the compared set. Each
 ``segment-fl`` and ``segment-dpi`` line prints both trees' figures, which
-are reported, not compared; for ``segment-fl`` they cover the parent
-process, not its workers.
+are reported, not compared.
 
 One more case calls the library instead of the CLI. A subprocess per
 source tree fits every arm of perfbench's arm corpus for seed 1 (the
@@ -101,7 +99,6 @@ finally:
 
 def cases(inputs: dict[int, str]):
     """(name, argv, files the command writes, relative to its directory)."""
-    taskset = ["taskset", "-c", "0"] if shutil.which("taskset") else None
     for seed, d in inputs.items():
         track, short = os.path.join(d, "genome.tsv"), os.path.join(d, "genome_2snp.tsv")
         with open(os.path.join(d, "split_at.txt"), encoding="utf-8") as fh:
@@ -120,8 +117,6 @@ def cases(inputs: dict[int, str]):
         for label, path, flags in fl_inputs:
             fl = ["segment-fl", path, *split, "--output", "fl.tsv", *flags]
             yield f"segment-fl genome {seed}{label}", fl, ["fl.tsv"]
-            if taskset:
-                yield f"segment-fl genome {seed}{label} on one CPU", taskset + fl, ["fl.tsv"]
         for label, path in dpi_inputs:
             dpi = ["segment-dpi", path, *split, "--output", "dpi.tsv", "--segments-out", "seg.tsv"]
             yield f"segment-dpi genome {seed}{label}", dpi, ["dpi.tsv", "seg.tsv"]
@@ -152,8 +147,7 @@ def run(src: str, workdir: str, argv: list[str], files: list[str]) -> tuple[dict
     shutil.rmtree(workdir, ignore_errors=True)
     os.makedirs(workdir)
     hwm = os.path.join(workdir, ".vmhwm")  # no case compares it
-    prefix = argv[:3] if argv[0] == "taskset" else []
-    cmd = [*prefix, sys.executable, "-c", LAUNCH, hwm, *argv[len(prefix) :]]
+    cmd = [sys.executable, "-c", LAUNCH, hwm, *argv]
     env = {**os.environ, "PYTHONPATH": os.path.abspath(src)}
     proc = subprocess.run(cmd, cwd=workdir, env=env, capture_output=True)
     out = {"exit status": proc.returncode, "stdout": proc.stdout, "stderr": proc.stderr}
