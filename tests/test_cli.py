@@ -798,18 +798,21 @@ class TestWorkerPool:
         assert stderr == f"cnvfuse: error: chromosome {named}\n"
         assert not out.exists()
 
-    def test_warnings_before_a_failing_sequence_are_kept(self, tmp_path, caplog, capsys):
-        track = _sequences_file(tmp_path, (400, 1200, 30, 300))
+    @pytest.mark.parametrize("before", [1, 2, 3])
+    def test_warnings_before_a_failing_sequence_are_kept(self, tmp_path, caplog, capsys, before):
+        # ``before`` unconverged sequences, then a short one, then one never fitted
+        unconverged = ((1, 400, 2_000_000), (2, 1200, 6_000_000), (3, 300, 1_500_000))[:before]
+        track = _sequences_file(tmp_path, (*(n for _, n, _ in unconverged), 30, 300))
         out = tmp_path / "seg.tsv"
         argv = ["segment-fl", track, "--output", out, "--max-iter", "1"]
         code, stdout, stderr, warnings = _run_logged(caplog, capsys, argv)
         assert warnings == [
             f"chromosome {chrom} (positions 5000-{last}): MM stopped at max_iter=1 without converging"
-            for chrom, last in ((1, 2_000_000), (2, 6_000_000))
+            for chrom, _, last in unconverged
         ]
         assert code == 1 and stdout == ""
         assert stderr == (
-            "cnvfuse: error: chromosome 3 (positions 5000-150000): "
+            f"cnvfuse: error: chromosome {before + 1} (positions 5000-150000): "
             "need at least 40 values to estimate sigma, got 30\n"
         )
         assert not out.exists()
