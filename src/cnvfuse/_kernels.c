@@ -58,56 +58,39 @@ static double stage_cost(const struct stage *s, int j, index_t i)
     return (r * r + s->alpha * s->losses[j * s->n + i]) + s->lasso[j];
 }
 
-/* Class j's stage costs, as pairwise_sum's terms. */
-struct column {
-    const struct stage *stage;
-    int j;
-};
-
-static double column_cost(const void *c, index_t i)
-{
-    const struct column *col = c;
-    return stage_cost(col->stage, col->j, i);
-}
-
 /* numpy's pairwise summation (np.sum of a contiguous float64 array, less
- * its 0.0 start) of term(ctx, i) over i = lo..lo+m-1: blocks of up to 128
- * in eight interleaved partial sums, halves above that. */
-static double pairwise_sum(double (*term)(const void *, index_t), const void *ctx, index_t lo, index_t m)
+ * its 0.0 start) of a[0..m-1]: blocks of up to 128 in eight interleaved
+ * partial sums, halves above that. cnv_objective sums its norms with it. */
+static double pairwise_sum(const double *a, index_t m)
 {
     if (m < 8) {
         double res = -0.0;
         for (index_t i = 0; i < m; i++)
-            res += term(ctx, lo + i);
+            res += a[i];
         return res;
     }
     if (m <= 128) {
         double r[8];
         index_t i;
         for (int k = 0; k < 8; k++)
-            r[k] = term(ctx, lo + k);
+            r[k] = a[k];
         for (i = 8; i < m - m % 8; i += 8)
             for (int k = 0; k < 8; k++)
-                r[k] += term(ctx, lo + i + k);
+                r[k] += a[i + k];
         double res = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]));
         for (; i < m; i++)
-            res += term(ctx, lo + i);
+            res += a[i];
         return res;
     }
     index_t half = m / 2;
     half -= half % 8;
-    return pairwise_sum(term, ctx, lo, half) + pairwise_sum(term, ctx, lo + half, m - half);
-}
-
-static double element(const void *a, index_t i)
-{
-    return ((const double *)a)[i];
+    return pairwise_sum(a, half) + pairwise_sum(a + half, m - half);
 }
 
 /* np.sum(a[0..m-1]) */
 static double np_sum(const double *a, index_t m)
 {
-    return 0.0 + pairwise_sum(element, a, 0, m);
+    return 0.0 + pairwise_sum(a, m);
 }
 
 /* The elements of one 8 192-element buffer of np.einsum's iterator. */
@@ -234,11 +217,14 @@ index_t cnv_mm(index_t n, const double *y, double lambda1, double lambda2, doubl
  * inequality of the metric gives g_k + pen[k][j] > g_L + pen[L][j] for
  * every j, so L is the strict best predecessor of all four classes and
  * the step needs no comparison. delta covers the rounding of the compared
- * sums: every g is at most the sum of all stage costs (a single-class path
- * costs no more). An inf stage cost makes delta inf, and then no test
- * passes. The leader's own step leaves out pen[L][L] = 0.0, as g + 0.0 ==
- * g for every g here (none is -0.0). L is the lowest class with the least
- * g after the last full step.
+ * sums: every g is at most U, the sum of all stage costs (a single-class
+ * path costs no more). As delta is a bound, U's order of summation is free:
+ * a g + p addition rounds by a few ulps of U + max p, which 1e-12 times that
+ * clears by about four orders of magnitude, and any order moves U by at most
+ * a relative n * DBL_EPSILON (under 2e-10 at n = 1e6). An inf stage cost
+ * makes delta inf, and then no test passes. The leader's own step leaves
+ * out pen[L][L] = 0.0, as g + 0.0 == g for every g here (none is -0.0). L
+ * is the lowest class with the least g after the last full step.
  *
  * Until the traceback, out[i - 1] holds the best predecessor of each class
  * at position i, class j's in bits 2j..2j+1. */
@@ -251,14 +237,13 @@ double cnv_min_plus_path(index_t n, const double *logr, const double *losses,
         lasso[j] = lambda1 * fabs(mu[j]);
     const struct stage st = {n, logr, losses, mu, lasso, alpha};
 
-    double total = 0.0, top = pen[0];
-    for (int j = 0; j < 4; j++) {
-        const struct column col = {&st, j};
-        total = total + pairwise_sum(column_cost, &col, 0, n);
-    }
+    double sums[4] = {0.0, 0.0, 0.0, 0.0}, top = pen[0];
+    for (index_t i = 0; i < n; i++)
+        for (int j = 0; j < 4; j++)
+            sums[j] += stage_cost(&st, j, i);
     for (int k = 1; k < 16; k++)
         top = pen[k] > top ? pen[k] : top;
-    double delta = 1e-12 * (total + top);
+    double delta = 1e-12 * (((sums[0] + sums[1]) + (sums[2] + sums[3])) + top);
     for (int k = 0; k < 16; k++)
         q[k] = pen[k] + delta;
 

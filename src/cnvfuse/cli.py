@@ -265,8 +265,8 @@ def _where(chrom: str, track: SnpTrack) -> str:
     return f"chromosome {chrom} (positions {int(track.positions[0])}-{int(track.positions[-1])})"
 
 
-def _fl_rows(args, chrom, track) -> tuple[list[str], str | None]:
-    """Fit one sequence by fused lasso; return its output rows and a
+def _fl_rows(args, chrom, track) -> list[str]:
+    """Fit one sequence by fused lasso and return its output rows; log a
     warning if MM did not converge."""
     _, fit, segments = pipeline.fit_fused_lasso(
         track,
@@ -293,8 +293,9 @@ def _fl_rows(args, chrom, track) -> tuple[list[str], str | None]:
         )
         for seg in segments
     ]
-    warning = f"{_where(chrom, track)}: MM stopped at max_iter={args.max_iter} without converging"
-    return rows, None if fit.converged else warning
+    if not fit.converged:
+        logger.warning("%s: MM stopped at max_iter=%s without converging", _where(chrom, track), args.max_iter)
+    return rows
 
 
 #: the end of a segment-dpi row, "\t{genotype}\t{copy number}", of each state
@@ -302,9 +303,9 @@ def _fl_rows(args, chrom, track) -> tuple[list[str], str | None]:
 _STATE_SUFFIXES = np.array([f"\t{s.genotype}\t{s.copy_number}" for s in TEN_STATES], dtype=object)
 
 
-def _dpi_rows(args, chrom, track) -> tuple[tuple[list[str], list[str]], None]:
+def _dpi_rows(args, chrom, track) -> tuple[list[str], list[str]]:
     """Impute one sequence's copy numbers by DP; return its per-SNP rows
-    and its constant-copy segment rows, and no warning."""
+    and its constant-copy segment rows."""
     path = pipeline.fit_dpi(
         track,
         args.lambda1,
@@ -325,34 +326,21 @@ def _dpi_rows(args, chrom, track) -> tuple[tuple[list[str], list[str]], None]:
         f"{chrom}\t{positions[a]}\t{positions[b - 1]}\t{b - a}\t{c}"
         for a, b, c in zip(starts, ends, path.copy_numbers[starts].tolist())
     ]
-    return (snp_rows, seg_rows), None
+    return snp_rows, seg_rows
 
 
-def _fit(rows_of, args, sequences, k):
-    """``rows_of(args, chrom, track)`` for sequence k of ``sequences``; a
-    CnvFuseError raised for the sequence names it. The sequence leaves
-    the list as it is taken, so its track is freed with its rows."""
-    chrom, track = sequences[k]
-    sequences[k] = None
-    try:
-        return rows_of(args, chrom, track)
-    except CnvFuseError as exc:
-        raise type(exc)(f"{_where(chrom, track)}: {exc}") from exc
-
-
-def _fit_all(args, rows_of) -> list:
-    """The rows of every sequence, fitted in-process one after the other
-    in input order. ``rows_of(args, chrom, track)`` returns (rows, warning
-    or None); a warning is logged once its sequence is fitted, and the
-    first error stops the run."""
-    sequences = _sequences(args)
-    fits = []
-    for k in range(len(sequences)):
-        rows, warning = _fit(rows_of, args, sequences, k)
-        if warning is not None:
-            logger.warning("%s", warning)
-        fits.append(rows)
-    return fits
+def _fit_all(args, rows_of):
+    """Yield ``rows_of(args, chrom, track)`` for every sequence, fitted
+    in-process one after the other in input order; a CnvFuseError raised
+    for a sequence names it and stops the run. Each sequence leaves the
+    list as it is taken, so a track is let go when the next one is."""
+    sequences = _sequences(args)[::-1]
+    while sequences:
+        chrom, track = sequences.pop()
+        try:
+            yield rows_of(args, chrom, track)
+        except CnvFuseError as exc:
+            raise type(exc)(f"{_where(chrom, track)}: {exc}") from exc
 
 
 def _write_lines(path, lines):

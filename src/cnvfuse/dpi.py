@@ -165,10 +165,9 @@ def dpi_fit(
     for _ in range(max_rounds):
         new_model = reestimate_mu(track, path, model)
         new_path = dp_impute(track, new_model)
-        rounds += 1
         if new_path.objective > path.objective + 1e-9 * max(1.0, abs(path.objective)):
-            rounds -= 1
             break
+        rounds += 1
         stable = np.array_equal(new_path.state_indices, path.state_indices)
         path, model = new_path, new_model
         if stable:

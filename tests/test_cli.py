@@ -762,9 +762,9 @@ def test_each_sequence_is_freed_once_fitted(tmp_path):
     def rows_of(args, chrom, track):
         assert [ref() for ref in fitted] == [None] * len(fitted)
         fitted.append(weakref.ref(track))
-        return chrom, None
+        return chrom
 
-    assert cli._fit_all(args, rows_of) == ["1", "2", "2", "3", "4"]
+    assert list(cli._fit_all(args, rows_of)) == ["1", "2", "2", "3", "4"]
     assert [ref() for ref in fitted] == [None] * 5
 
 

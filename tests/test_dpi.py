@@ -454,6 +454,24 @@ class TestLeaderFastPath:
         assert path == [1, 0]
 
 
+    def test_bound_summed_in_another_order(self):
+        # delta is a bound, so the kernel sums its total in its own order:
+        # per-class running sums, then (s0 + s1) + (s2 + s3). On costs over
+        # 18 decades that total differs from the Python kernel's np.sum
+        # order, and the paths and objectives must not.
+        rng = np.random.default_rng(50)
+        pen = penalties(DpiModel(DEFAULT_COPY_LOGR_MEANS, 0.0, 0.8))
+        rows = 10 ** rng.uniform(-9.0, 9.0, (1000, 4))
+        rows[:, 1] = 10 ** rng.uniform(-9.0, 0.0, 1000)  # the cheap class leads
+        sums = [0.0] * 4
+        for row in rows.tolist():
+            for j in range(4):
+                sums[j] += row[j]
+        assert (sums[0] + sums[1]) + (sums[2] + sums[3]) != sum(float(np.sum(c)) for c in rows.T)
+        assert pinned_steps(rows.tolist(), pen).any()
+        assert_same_min_plus(rows.tolist(), pen)
+
+
 class TestKernelEdgeCases:
     """The compiled recursion at the edges of its packed backpointers and
     its traceback, against the reference recursion."""

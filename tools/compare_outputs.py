@@ -16,10 +16,14 @@ It runs the same commands with ``PYTHONPATH=OLD_SRC`` and
 * ``segment-fl`` with its ``split_at.txt``, on the genome, on the genome
   with ``--max-iter 5`` (a warning per sequence), on the genome with
   ``--max-iter 1000000000`` (a bound no fit reaches, which the fit must
-  not allocate a trace for) and on the genome with the 2-SNP chromosome
-  (an error);
+  not allocate a trace for), on the genome with the 2-SNP chromosome
+  (an error) and on that file with ``--max-iter 5`` (warnings, then the
+  error, and no output);
 * ``segment-dpi`` with its ``split_at.txt`` and ``--segments-out``, on the
-  genome and on the genome with the 2-SNP chromosome;
+  genome and on the genome with the 2-SNP chromosome, and on the seed-1
+  genome with ``--lambda2 1e308``, where the penalties to and from copy
+  number 0 overflow to inf, so the DP kernel's leader-test allowance is
+  inf and every step takes the full comparison;
 * ``segment-fl`` and ``segment-dpi`` (with ``--segments-out``), each with
   its ``split_at.txt``, on the seed-1 genome with non-ASCII SNP ids: the
   line-by-line reader and the labels' way to the output, end to end;
@@ -108,17 +112,19 @@ def cases(inputs: dict[int, str]):
             (", --max-iter 5", track, ["--max-iter", "5"]),
             (", --max-iter 1000000000", track, ["--max-iter", "1000000000"]),
             (" + 2-SNP chromosome", short, []),
+            (" + 2-SNP chromosome, --max-iter 5", short, ["--max-iter", "5"]),
         ]
-        dpi_inputs = [("", track), (" + 2-SNP chromosome", short)]
+        dpi_inputs = [("", track, []), (" + 2-SNP chromosome", short, [])]
         if seed == 1:
             non_ascii = os.path.join(d, "genome_nonascii.tsv")
             fl_inputs.append((", non-ASCII SNP ids", non_ascii, []))
-            dpi_inputs.append((", non-ASCII SNP ids", non_ascii))
+            dpi_inputs.append((", non-ASCII SNP ids", non_ascii, []))
+            dpi_inputs.append((", --lambda2 1e308", track, ["--lambda2", "1e308"]))
         for label, path, flags in fl_inputs:
             fl = ["segment-fl", path, *split, "--output", "fl.tsv", *flags]
             yield f"segment-fl genome {seed}{label}", fl, ["fl.tsv"]
-        for label, path in dpi_inputs:
-            dpi = ["segment-dpi", path, *split, "--output", "dpi.tsv", "--segments-out", "seg.tsv"]
+        for label, path, flags in dpi_inputs:
+            dpi = ["segment-dpi", path, *split, "--output", "dpi.tsv", "--segments-out", "seg.tsv", *flags]
             yield f"segment-dpi genome {seed}{label}", dpi, ["dpi.tsv", "seg.tsv"]
     sim = ["simulate", "--output", "trk.tsv", "--truth-output", "truth.tsv"]
     for seed in SEEDS:
