@@ -1,15 +1,21 @@
 /* The O(n) loops of cnvfuse: the whole MM fit of the smoothed fused lasso
  * (fused_lasso.solve_mm_tdm and solve_mm_block), whose step is the
- * tridiagonal solve or a block sweep, and the four-class min-plus recursion
- * of DP imputation (dpi.dp_impute). _kernels.py builds this file on first
- * use with -ffp-contract=off and neither -ffast-math nor -march, so that
- * every operation below rounds as written, in the order written: the
- * results are bit for bit those of the numpy and Python references in
- * fused_lasso.py, tests/oracles.py and tests/test_fused_lasso.py.
+ * tridiagonal solve or a block sweep, the four-class min-plus recursion
+ * of DP imputation (dpi.dp_impute), and the CLI's per-SNP text: the reader
+ * of a track file's blocks of lines (cnv_parse_block, for
+ * cli.read_track_file) and the writer of segment-dpi's rows
+ * (cnv_dpi_rows). _kernels.py builds this file on first use with
+ * -ffp-contract=off and neither -ffast-math nor -march, so that every
+ * operation below rounds as written, in the order written: the results
+ * are bit for bit those of the numpy and Python references in
+ * fused_lasso.py, tests/oracles.py and tests/test_fused_lasso.py, and the
+ * reader's numbers are those of Python's int() and float().
  */
 #include <math.h>
 #include <stddef.h>
 #include <stdint.h>
+#include <stdlib.h>
+#include <string.h>
 
 typedef ptrdiff_t index_t;
 
@@ -300,4 +306,221 @@ double cnv_min_plus_path(index_t n, const double *logr, const double *losses,
         out[i] = c * (c + 1) / 2 + picks[c * n + i];
     }
     return objective;
+}
+
+/* Exact powers of ten: 10^22 is the largest that a double holds exactly. */
+static const double POW10[23] = {1e0,  1e1,  1e2,  1e3,  1e4,  1e5,  1e6,  1e7,
+                                 1e8,  1e9,  1e10, 1e11, 1e12, 1e13, 1e14, 1e15,
+                                 1e16, 1e17, 1e18, 1e19, 1e20, 1e21, 1e22};
+
+/* Longest number that goes to strtod; a longer one refuses its block. */
+#define NUMBER_MAX 512
+
+static int is_digit(char c)
+{
+    return c >= '0' && c <= '9';
+}
+
+/* Reads the longest prefix of s[0..end - s - 1] under the grammar
+ * [+-]?digits and stores its int() into *out, any negative value as -1.
+ * Returns the end of the prefix, or NULL when there is none or its value
+ * is above 2**63 - 1. */
+static const char *parse_position(const char *s, const char *end, int64_t *out)
+{
+    int negative = s < end && *s == '-';
+    if (s < end && (*s == '+' || *s == '-'))
+        s++;
+    if (s == end || !is_digit(*s))
+        return NULL;
+    uint64_t v = 0;
+    for (; s < end && is_digit(*s); s++) {
+        uint64_t d = (uint64_t)(*s - '0');
+        if (negative)
+            v |= d;
+        else if (v > ((uint64_t)INT64_MAX - d) / 10)
+            return NULL;
+        else
+            v = v * 10 + d;
+    }
+    *out = negative ? (v ? -1 : 0) : (int64_t)v;
+    return s;
+}
+
+/* Reads the longest prefix of s[0..end - s - 1] under the grammar
+ * [+-]?(d+(.d*)?|.d+)([eE][+-]?d+)? and stores its float() into *out.
+ * Returns the end of the prefix, or NULL when there is none, or when
+ * strtod, which reads the decimal point of the C library's locale, does
+ * not take all of it.
+ *
+ * Both ways round correctly, so the bits are float()'s. With at most 15
+ * significant digits w and a power of ten 10^e with |e| <= 22, w and 10^e
+ * are doubles exactly, and w * 10^e or w / 10^-e is one correctly rounded
+ * operation (Clinger 1990). Every other number goes to glibc's strtod,
+ * which rounds correctly, subnormals and overflow to inf included. */
+static const char *parse_number(const char *s, const char *end, double *out)
+{
+    const char *at = s;
+    int negative = at < end && *at == '-';
+    if (at < end && (*at == '+' || *at == '-'))
+        at++;
+    /* the digits from the first nonzero one are significant; w holds them
+     * exactly while there are at most 19, and is only read for at most 15 */
+    uint64_t w = 0;
+    int64_t significant = 0, fraction = 0, digits = 0, exponent = 0;
+    for (; at < end && is_digit(*at); at++, digits++) {
+        w = w * 10 + (uint64_t)(*at - '0');
+        significant += w != 0;
+    }
+    if (at < end && *at == '.')
+        for (at++; at < end && is_digit(*at); at++, digits++, fraction++) {
+            w = w * 10 + (uint64_t)(*at - '0');
+            significant += w != 0;
+        }
+    if (!digits)
+        return NULL;
+    if (at < end && (*at == 'e' || *at == 'E')) {
+        at++;
+        int exp_negative = at < end && *at == '-';
+        if (at < end && (*at == '+' || *at == '-'))
+            at++;
+        if (at == end || !is_digit(*at))
+            return NULL;
+        for (; at < end && is_digit(*at); at++)
+            if (exponent < 100000) /* far past any double; strtod reads the rest */
+                exponent = exponent * 10 + (*at - '0');
+        if (exp_negative)
+            exponent = -exponent;
+    }
+    int64_t e = exponent - fraction;
+    if (significant <= 15 && -22 <= e && e <= 22) {
+        double v = (double)w;
+        v = e < 0 ? v / POW10[-e] : v * POW10[e];
+        *out = negative ? -v : v;
+        return at;
+    }
+    index_t m = at - s;
+    if (m >= NUMBER_MAX)
+        return NULL;
+    char copy[NUMBER_MAX], *stop;
+    memcpy(copy, s, (size_t)m);
+    copy[m] = '\0';
+    *out = strtod(copy, &stop);
+    return stop == copy + m ? at : NULL;
+}
+
+/* Read a block of lines of n_cols tab-separated fields: size bytes of
+ * text, each line ending in '\n' but perhaps the last, and blank lines
+ * ("\n" alone) skipped. col[0..4] are the columns of snp_id, chrom, pos,
+ * logr and baf. Writes the position (parse_position), LogR and BAF
+ * (parse_number) of each of the rows (non-blank lines), at most capacity,
+ * into pos, logr and baf, and its snp_id into ids, the ids joined by '\n'.
+ * Each run of rows with one chrom gets three entries of runs: its first
+ * row, and the start and end of its chrom's bytes in text. counts receives
+ * the rows, the lines and the bytes of ids. Returns the number of runs, or
+ * -1 when the block has a byte >= 0x80, a row of another field count, a
+ * field outside its grammar or more rows than capacity: the caller then
+ * reads the block otherwise. */
+index_t cnv_parse_block(const char *text, index_t size, index_t capacity, index_t n_cols, const int64_t *col,
+                        int64_t *pos, double *logr, double *baf, char *ids, int64_t *runs, int64_t *counts)
+{
+    unsigned char high = 0;
+    for (index_t i = 0; i < size; i++)
+        high |= (unsigned char)text[i];
+    if (high & 0x80)
+        return -1;
+    const char *at = text, *end = text + size, *chrom = NULL;
+    index_t rows = 0, lines = 0, n_runs = 0, chrom_size = 0;
+    char *id_at = ids;
+    while (at < end) {
+        if (*at == '\n') {
+            at++;
+            lines++;
+            continue;
+        }
+        if (rows == capacity)
+            return -1;
+        if (rows)
+            *id_at++ = '\n';
+        for (index_t k = 0;; k++) {
+            const char *field = at;
+            if (k == col[2])
+                at = parse_position(field, end, pos + rows);
+            else if (k == col[3])
+                at = parse_number(field, end, logr + rows);
+            else if (k == col[4])
+                at = parse_number(field, end, baf + rows);
+            else
+                while (at < end && *at != '\t' && *at != '\n')
+                    at++;
+            if (!at)
+                return -1;
+            if (k == col[0]) {
+                memcpy(id_at, field, (size_t)(at - field));
+                id_at += at - field;
+            } else if (k == col[1] &&
+                       (!chrom || at - field != chrom_size || memcmp(field, chrom, (size_t)chrom_size))) {
+                runs[3 * n_runs] = rows;
+                runs[3 * n_runs + 1] = field - text;
+                runs[3 * n_runs + 2] = at - text;
+                n_runs++;
+                chrom = field;
+                chrom_size = at - field;
+            }
+            if (at < end && *at == '\t') {
+                at++;
+                continue;
+            }
+            if (k + 1 != n_cols || (at < end && *at != '\n'))
+                return -1;
+            break;
+        }
+        rows++;
+        if (at < end) {
+            at++;
+            lines++;
+        }
+    }
+    counts[0] = rows;
+    counts[1] = lines;
+    counts[2] = id_at - ids;
+    return n_runs;
+}
+
+/* The bytes of each suffix of cnv_dpi_rows, the suffix then padding */
+#define SUFFIX_SLOT 8
+
+/* segment-dpi's per-SNP rows of one sequence of n SNPs into out, each
+ * "{id}\t{chrom}\t{pos}{suffix}\n": ids holds the n ids joined by '\n'
+ * (ids_size bytes), chrom is chrom_size bytes and pos[i] >= 0 (up to 19
+ * digits; a negative one would be written as its 20-digit uint64). state[i]
+ * indexes the suffixes: suffix s is the first lengths[s] bytes of
+ * suffixes[SUFFIX_SLOT * s ..]. Each suffix is copied as a whole slot, so
+ * out needs SUFFIX_SLOT bytes to spare past the rows. Returns the bytes of
+ * the rows. */
+index_t cnv_dpi_rows(index_t n, const char *ids, index_t ids_size, const char *chrom, index_t chrom_size,
+                     const int64_t *pos, const int64_t *state, const char *suffixes, const int64_t *lengths,
+                     char *out)
+{
+    const char *id = ids, *ids_end = ids + ids_size;
+    char *at = out;
+    for (index_t i = 0; i < n; i++) {
+        while (id < ids_end && *id != '\n')
+            *at++ = *id++;
+        id += id < ids_end;
+        *at++ = '\t';
+        for (index_t j = 0; j < chrom_size; j++)
+            *at++ = chrom[j];
+        *at++ = '\t';
+        uint64_t p = (uint64_t)pos[i];
+        int m = 1;
+        for (uint64_t rest = p / 10; rest; rest /= 10)
+            m++;
+        for (int j = m - 1; j >= 0; j--, p /= 10)
+            at[j] = (char)('0' + p % 10);
+        at += m;
+        memcpy(at, suffixes + SUFFIX_SLOT * state[i], SUFFIX_SLOT);
+        at += lengths[state[i]];
+        *at++ = '\n';
+    }
+    return at - out;
 }

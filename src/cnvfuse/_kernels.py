@@ -1,10 +1,15 @@
 """The compiled kernels of ``_kernels.c``, built on first use: a whole MM
-fit of the fused lasso, the Thomas solve and the DP recursion.
+fit of the fused lasso, the Thomas solve, the DP recursion, the reader of
+a track file's blocks of lines (``parse_block``) and the writer of
+segment-dpi's per-SNP rows (``dpi_rows``).
 
 The first call compiles the C file with the C compiler Python was built
-with (``sysconfig``'s ``CC``) into ``__pycache__/_kernels-<digest>.so``
-beside it, where the digest covers the source and the compile command, so
-an edited source or another compiler gets a library of its own. Processes
+with (``sysconfig``'s ``CC``) into ``_kernels-<digest>.so``, where the
+digest covers the source and the compile command, so an edited source or
+another compiler gets a library of its own. The library goes into
+``__pycache__`` beside the source or, where that cannot be made or
+written (an install the user does not own), into ``cnvfuse`` under the
+user's cache directory (``$XDG_CACHE_HOME``, or ``~/.cache``). Processes
 that build at once each compile to a file of their own and rename it into
 place. Nothing is compiled or loaded at import.
 
@@ -37,6 +42,9 @@ FLAGS = ("-O3", "-fno-math-errno", "-ffp-contract=off", "-shared", "-fPIC")
 #: time, so its memory follows the iterations run, not max_iter
 MM_CHUNK = 1024
 
+#: bytes of each suffix's slot in cnv_dpi_rows's table (SUFFIX_SLOT there)
+SUFFIX_SLOT = 8
+
 
 @functools.cache
 def library():
@@ -57,17 +65,29 @@ def library():
         code = fh.read()
     command = [*shlex.split(sysconfig.get_config_var("CC") or "cc"), *FLAGS]
     digest = sha256(code + b"\0" + "\0".join(command).encode()).hexdigest()
-    path = os.path.join(here, "__pycache__", f"_kernels-{digest}.so")
+    name = f"_kernels-{digest}.so"
     log = logging.getLogger(__name__)
-    if os.path.exists(path):
-        log.debug("loaded the kernel library %s from the cache", path)
-    else:
+    unusable = []
+    for directory in _cache_directories(here):
+        path = os.path.join(directory, name)
+        if os.path.exists(path):
+            log.debug("loaded the kernel library %s from the cache", path)
+            break
         start = time.perf_counter()
-        _build(command, source, path)
+        try:
+            _build(command, source, path)
+        except OSError as exc:
+            unusable.append(str(exc))
+            continue
         log.debug("built the kernel library %s in %.2f s", path, time.perf_counter() - start)
+        break
+    else:
+        raise CnvFuseError(
+            f"cannot build the compiled kernels: no cache directory can be written: {'; '.join(unusable)}"
+        )
 
     lib = ctypes.CDLL(path)
-    index, pointer, double = ctypes.c_ssize_t, ctypes.c_void_p, ctypes.c_double
+    index, pointer, double, text = ctypes.c_ssize_t, ctypes.c_void_p, ctypes.c_double, ctypes.c_char_p
     lib.cnv_thomas.argtypes = [index] + [pointer] * 5
     lib.cnv_thomas.restype = index
     lib.cnv_objective.argtypes = [index, pointer, pointer, double, double, double, pointer]
@@ -76,18 +96,37 @@ def library():
     lib.cnv_mm.restype = index
     lib.cnv_min_plus_path.argtypes = [index] + [pointer] * 4 + [double, double, pointer, pointer]
     lib.cnv_min_plus_path.restype = double
+    lib.cnv_parse_block.argtypes = [text, index, index, index] + [pointer] * 7
+    lib.cnv_parse_block.restype = index
+    lib.cnv_dpi_rows.argtypes = [index, text, index, text, index, pointer, pointer, text, pointer, pointer]
+    lib.cnv_dpi_rows.restype = index
     return lib
+
+
+def _cache_directories(here):
+    """Where the library may be cached, in the order tried: ``__pycache__``
+    beside the source, then the user's cache directory (the XDG base
+    directory rule: ``$XDG_CACHE_HOME``, or ``~/.cache`` when that is unset,
+    empty or relative)."""
+    user = os.environ.get("XDG_CACHE_HOME", "")
+    if not os.path.isabs(user):
+        user = os.path.join(os.path.expanduser("~"), ".cache")
+    return os.path.join(here, "__pycache__"), os.path.join(user, "cnvfuse")
 
 
 def _build(command, source, path):
     """Compile ``source`` into ``path`` through a file of this process's
-    own, renamed into place once complete."""
+    own, renamed into place once complete. Raises OSError when the
+    directory of ``path`` cannot be made or written, and CnvFuseError when
+    the compiler fails."""
     import subprocess
 
     partial = f"{path}.{os.getpid()}.tmp"
     argv = [*command, "-o", partial, source]
+    os.makedirs(os.path.dirname(path), exist_ok=True)
+    with open(partial, "wb"):
+        pass
     try:
-        os.makedirs(os.path.dirname(path), exist_ok=True)
         done = subprocess.run(argv, capture_output=True, text=True)
         if done.returncode == 0:
             os.replace(partial, path)
@@ -177,3 +216,55 @@ def min_plus_path(logr, losses, picks, mu, alpha: float, lambda1: float, pen, ou
         n, logr.ctypes.data, losses.ctypes.data, picks.ctypes.data, mu.ctypes.data,
         alpha, lambda1, pen.ctypes.data, out.ctypes.data,
     )
+
+
+def parse_block(data: bytes, n_cols: int, col):
+    """Read a block of whole lines of ``n_cols`` tab-separated fields
+    (``cnv_parse_block``), skipping blank lines; ``col`` gives the columns
+    of snp_id, chrom, pos, logr and baf. Returns the ids, the first row and
+    the chrom of each run of rows with one chrom, the positions (negative
+    ones as -1), the LogR and BAF values and the number of newlines; or
+    None when the kernel refuses the block."""
+    col = np.ascontiguousarray(col, dtype=np.int64)
+    if col.shape != (5,) or not (0 <= col.min() and col.max() < n_cols):
+        raise ValueError("need the 5 columns, each below n_cols")
+    # every row but the last ends in n_cols - 1 tabs and a newline
+    capacity = len(data) // n_cols + 1
+    pos, values, runs = np.empty(capacity, np.int64), np.empty((2, capacity)), np.empty((capacity, 3), np.int64)
+    ids, counts = np.empty(len(data), np.uint8), np.empty(3, np.int64)
+    n_runs = library().cnv_parse_block(
+        data, len(data), capacity, n_cols, col.ctypes.data, pos.ctypes.data, values.ctypes.data,
+        values[1].ctypes.data, ids.ctypes.data, runs.ctypes.data, counts.ctypes.data,
+    )
+    if n_runs < 0:
+        return None
+    n, n_lines, ids_size = counts.tolist()
+    starts, name_starts, name_ends = runs[:n_runs].T.tolist() if n else ([], [], [])
+    names = [data[a:b].decode() for a, b in zip(name_starts, name_ends)]
+    ids = str(ids[:ids_size], "ascii").split("\n") if n else []
+    return ids, starts, names, pos[:n].copy(), values[0, :n].copy(), values[1, :n].copy(), n_lines
+
+
+def dpi_rows(ids, chrom: str, positions, states, suffixes) -> str:
+    """segment-dpi's rows of one sequence (``cnv_dpi_rows``), joined by
+    newlines: "{id}\\t{chrom}\\t{position}{suffix}" per SNP, where the
+    suffix is ``suffixes[state]``, of at most SUFFIX_SLOT bytes.
+    ``positions`` are non-negative and no id holds a newline."""
+    text, name = "\n".join(ids).encode(), chrom.encode()
+    encoded = [s.encode() for s in suffixes]
+    lengths = np.array([len(s) for s in encoded], dtype=np.int64)
+    positions = np.ascontiguousarray(positions, dtype=np.int64)
+    states = np.ascontiguousarray(states, dtype=np.int64)
+    n = positions.size
+    if not (n >= 1 and len(ids) == n and states.size == n and 0 <= states.min() and states.max() < len(encoded)):
+        raise ValueError("need n >= 1 ids, positions and states, each state indexing the suffixes")
+    if lengths.max() > SUFFIX_SLOT:
+        raise ValueError(f"suffixes hold at most {SUFFIX_SLOT} bytes")
+    # per row: its id, at most 20 digits, 3 separators and the suffix; the
+    # last suffix's slot may reach past it
+    out = np.empty(len(text) + n * (len(name) + 23 + int(lengths.max())) + SUFFIX_SLOT, np.uint8)
+    size = library().cnv_dpi_rows(
+        n, text, len(text), name, len(name), positions.ctypes.data, states.ctypes.data,
+        b"".join(s.ljust(SUFFIX_SLOT, b"\0") for s in encoded), lengths.ctypes.data, out.ctypes.data,
+    )
+    return str(out[: size - 1], "utf-8")

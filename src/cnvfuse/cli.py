@@ -11,8 +11,10 @@ flags produce byte-identical outputs.
 from __future__ import annotations
 
 import argparse
+import bisect
 import dataclasses
 import inspect
+import io
 import logging
 import operator
 import sys
@@ -20,6 +22,7 @@ from itertools import compress
 
 import numpy as np
 
+from . import _kernels
 from . import dpi as dpi_mod
 from . import fused_lasso as fl
 from . import pipeline
@@ -34,10 +37,12 @@ logger = logging.getLogger(__name__)
 TRACK_COLUMNS = ("snp_id", "chrom", "pos", "logr", "baf")
 
 # Size hint, in characters, of the blocks of whole lines that
-# read_track_file parses at a time. In fresh processes on a 2-vCPU VM,
-# a 112 k-row file parsed in a median of 115-124 ms with blocks of 64-128 Ki
-# characters, 132-141 ms with 16 Ki and 131-141 ms with 1 Mi.
-_BLOCK_SIZE = 1 << 16
+# read_track_file parses at a time. On a 2-vCPU VM, segment-dpi on a
+# 112 k-row file took a median of 228-287 ms in fresh processes with blocks
+# of 256 Ki characters, 237-290 ms with 64 Ki, 241-296 ms with 1 Mi and
+# 253-306 ms with 16 Ki (five sets of 12-30 alternating runs); in-process,
+# the file parsed in a best of 22-27 ms with 256 Ki and 26-30 ms with 64 Ki.
+_BLOCK_SIZE = 1 << 18
 
 # positions are stored as int64
 _MAX_POSITION = (1 << 63) - 1
@@ -64,22 +69,22 @@ def read_track_file(path) -> list[tuple[str, SnpTrack]]:
                 raise TrackFormatError(f"{path}: missing column '{want}'")
         col = [names.index(want) for want in TRACK_COLUMNS]
         n_cols = len(names)
-        numeric = dict(zip(col[2:], (np.int64, np.float64, np.float64)))
-        row_dtype = np.dtype([(f"f{i}", numeric.get(i, object)) for i in range(n_cols)])
         lineno = 2
-        while lines := fh.readlines(_BLOCK_SIZE):
-            rows = [line for line in lines if line != "\n"] if "\n" in lines else lines
-            if rows:
-                fields = _read_ascii(rows, row_dtype, col)
+        for block in _line_blocks(fh):
+            parsed = _kernels.parse_block(block.encode(), n_cols, col)
+            if parsed is None:
+                lines = io.StringIO(block).readlines()
+                fields, stop = _read_lines([line for line in lines if line != "\n"], col, n_cols)
+                n_lines = len(lines)
+            else:
+                *fields, n_lines = parsed
                 stop = None
-                if fields is None:
-                    fields, stop = _read_lines(rows, col, n_cols)
-                error = _add_block(*fields, groups) or stop
-                if error:
-                    row, reason = error
-                    line = lineno + [i for i, text in enumerate(lines) if text != "\n"][row]
-                    raise TrackFormatError(f"{path}:{line}: {reason}")
-            lineno += len(lines)
+            error = _add_block(*fields, groups) or stop
+            if error:
+                row, reason = error
+                line = lineno + [i for i, text in enumerate(io.StringIO(block)) if text != "\n"][row]
+                raise TrackFormatError(f"{path}:{line}: {reason}")
+            lineno += n_lines
 
     return [
         (
@@ -95,39 +100,30 @@ def read_track_file(path) -> list[tuple[str, SnpTrack]]:
     ]
 
 
-def _read_ascii(rows, row_dtype, col):
-    """Read the fields (ids, chroms, pos, logr, baf) of a block of non-blank
-    lines with numpy's C reader, or return None when the reader must not
-    take the block or cannot read one of its lines."""
-    # numpy's integer reader accepts digits next to non-ASCII characters
-    # (it reads "5\u2213" as 8725), and both of its readers take
-    # \x1c-\x1f for spaces, all of which int() and float() reject
-    text = "".join(rows)
-    if not text.isascii() or "\x1c" in text or "\x1d" in text or "\x1e" in text or "\x1f" in text:
-        return None
-    try:
-        table = np.loadtxt(
-            rows, delimiter="\t", comments=None, quotechar=None, dtype=row_dtype, ndmin=1
-        )
-    except ValueError:
-        return None
-    i_id, i_chrom, i_pos, i_logr, i_baf = (f"f{i}" for i in col)
-    # copies, so the blocks kept do not hold the table's strings
-    return (
-        table[i_id].tolist(),
-        table[i_chrom].tolist(),
-        table[i_pos].copy(),
-        table[i_logr].copy(),
-        table[i_baf].copy(),
-    )
+def _line_blocks(fh):
+    """The rest of ``fh`` in blocks of whole lines, each of about
+    ``_BLOCK_SIZE`` characters or one line; only the last block may end
+    without a newline."""
+    pending = []
+    while chunk := fh.read(_BLOCK_SIZE):
+        cut = chunk.rfind("\n") + 1
+        if cut:
+            yield "".join([*pending, chunk[:cut]])
+            pending = []
+        if cut < len(chunk):
+            pending.append(chunk[cut:])
+    if pending:
+        yield "".join(pending)
 
 
 def _read_lines(rows, col, n_cols):
     """Read the fields of a block of non-blank lines with Python's ``int``
-    and ``float``, up to the first line they cannot read. Returns the
-    fields read, as ``_read_ascii`` does, and the (row, reason) of that
-    line, or None when every line was read. Any negative position is
-    stored as -1, so that one below -2**63 fits the int64 array too."""
+    and ``float``, up to the first line they cannot read: the reader of a
+    block the kernel refuses. Returns the fields read (the ids, the first
+    row and the chrom of each run of rows with one chrom, the positions,
+    LogR and BAF) and the (row, reason) of that line, or None when every
+    line was read. Any negative position is stored as -1, so that one
+    below -2**63 fits the int64 array too."""
     i_id, i_chrom, i_pos, i_logr, i_baf = col
     ids, chroms, pos, logr, baf = [], [], [], [], []
     stop = None
@@ -151,31 +147,31 @@ def _read_lines(rows, col, n_cols):
         pos.append(max(p, -1))
         logr.append(lr)
         baf.append(b)
-    return (ids, chroms, np.array(pos, dtype=np.int64), np.array(logr), np.array(baf)), stop
+    # runs of rows with one chrom start at these rows
+    starts = [0, *compress(range(1, len(chroms)), map(operator.ne, chroms, chroms[1:]))] if chroms else []
+    fields = (ids, starts, [chroms[a] for a in starts], np.array(pos, dtype=np.int64), np.array(logr), np.array(baf))
+    return fields, stop
 
 
-def _add_block(ids, chroms, pos, logr, baf, groups):
+def _add_block(ids, starts, run_chroms, pos, logr, baf, groups):
     """Check a block's fields against the rules of ``read_track_file`` that
     remain once its fields are read, and append the block to ``groups``,
-    which holds the earlier blocks.
+    which holds the earlier blocks. The block's rows with one chrom come
+    in runs: run k starts at row ``starts[k]`` and has chrom
+    ``run_chroms[k]``.
 
     Returns None, or the (row, reason) of the first row that breaks a rule,
     leaving ``groups`` as it was. Within that row the first rule broken in
     the order negative position, non-finite logr/baf, contiguous chromosome
-    rows, strictly increasing positions gives the reason. ``_read_ascii``
-    and ``_read_lines`` check the field count, the parsing of the numbers
-    and the position's upper bound, which come first in that order. The
+    rows, strictly increasing positions gives the reason. The block's
+    readers check the field count, the parsing of the numbers and the
+    position's upper bound, which come first in that order. The
     random-edit tests in tests/test_cli.py compare the whole reader against
     a line-by-line reference parser."""
-    n = len(chroms)
+    n = pos.size
     if not n:
         return None
-    # runs of rows with one chrom: [starts[k], ends[k])
-    starts = [0]
-    if chroms.count(chroms[0]) != n:
-        starts += compress(range(1, n), map(operator.ne, chroms, chroms[1:]))
     ends = [*starts[1:], n]
-    run_chroms = [chroms[a] for a in starts]
     current = next(reversed(groups), None)
     continues = run_chroms[0] == current
 
@@ -197,7 +193,8 @@ def _add_block(ids, chroms, pos, logr, baf, groups):
         broken.append((0, 3, f"positions not strictly increasing in chrom '{current}'"))
     elif not rises.all():
         row = int(np.argmin(rises)) + 1
-        broken.append((row, 3, f"positions not strictly increasing in chrom '{chroms[row]}'"))
+        chrom = run_chroms[bisect.bisect_right(starts, row) - 1]
+        broken.append((row, 3, f"positions not strictly increasing in chrom '{chrom}'"))
     if broken:
         row, _, reason = min(broken)
         return row, reason
@@ -303,9 +300,9 @@ def _fl_rows(args, chrom, track) -> list[str]:
 _STATE_SUFFIXES = np.array([f"\t{s.genotype}\t{s.copy_number}" for s in TEN_STATES], dtype=object)
 
 
-def _dpi_rows(args, chrom, track) -> tuple[list[str], list[str]]:
-    """Impute one sequence's copy numbers by DP; return its per-SNP rows
-    and its constant-copy segment rows."""
+def _dpi_rows(args, chrom, track) -> tuple[str, list[str]]:
+    """Impute one sequence's copy numbers by DP; return its per-SNP rows,
+    joined by newlines, and its constant-copy segment rows."""
     path = pipeline.fit_dpi(
         track,
         args.lambda1,
@@ -314,17 +311,18 @@ def _dpi_rows(args, chrom, track) -> tuple[list[str], list[str]]:
         mu_init=args.mu_init,
         max_rounds=args.max_rounds,
     ).path
-    positions = track.positions.tolist()
-    mid = f"\t{chrom}\t"
-    snp_rows = [
-        f"{sid}{mid}{p}{suffix}"
-        for sid, p, suffix in zip(track.snp_ids, positions, _STATE_SUFFIXES[path.state_indices].tolist())
-    ]
-    starts = [0, *(np.flatnonzero(np.diff(path.copy_numbers)) + 1).tolist()]
-    ends = [*starts[1:], track.n]
+    snp_rows = _kernels.dpi_rows(track.snp_ids, chrom, track.positions, path.state_indices, _STATE_SUFFIXES)
+    copies = path.copy_numbers
+    starts = np.flatnonzero(np.diff(copies, prepend=-1))
+    ends = np.append(starts[1:], track.n)
     seg_rows = [
-        f"{chrom}\t{positions[a]}\t{positions[b - 1]}\t{b - a}\t{c}"
-        for a, b, c in zip(starts, ends, path.copy_numbers[starts].tolist())
+        f"{chrom}\t{first}\t{last}\t{n}\t{c}"
+        for first, last, n, c in zip(
+            track.positions[starts].tolist(),
+            track.positions[ends - 1].tolist(),
+            (ends - starts).tolist(),
+            copies[starts].tolist(),
+        )
     ]
     return snp_rows, seg_rows
 
@@ -364,7 +362,7 @@ def cmd_segment_dpi(args) -> int:
     snp_lines = ["\t".join(["snp_id", "chrom", "pos", "genotype_state", "copy_number"])]
     seg_lines = ["\t".join(["chrom", "start_pos", "end_pos", "n_snps", "copy_number"])]
     for snp_rows, seg_rows in _fit_all(args, _dpi_rows):
-        snp_lines.extend(snp_rows)
+        snp_lines.append(snp_rows)
         seg_lines.extend(seg_rows)
     _write_lines(args.output, snp_lines)
     if args.segments_out:

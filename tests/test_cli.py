@@ -8,7 +8,12 @@ import weakref
 import numpy as np
 import pytest
 
-from cnvfuse import cli, pipeline
+try:
+    from hypothesis import HealthCheck, given, settings, strategies as st
+except ImportError:  # the property test is skipped without hypothesis
+    given = None
+
+from cnvfuse import _kernels, cli, pipeline
 from cnvfuse import simulate as sim
 from cnvfuse.cli import TRACK_COLUMNS, main, read_track_file
 from cnvfuse.errors import TrackFormatError
@@ -185,6 +190,8 @@ ACCEPTED = {
     "clamped_baf": "a\t1\t5\t0.0\t1.02\nb\t1\t6\t0.0\t-0.02\nc\t2\t1\t0\t1.5\n",
     "empty_fields_in_ids": "\t1\t5\t0.0\t0.5\n\t1\t6\t0.0\t0.5\n",
     "largest_pos": rows("1", 100, 3) + f"r\t1\t{2**63 - 1}\t0.1\t0.5\n",
+    "signed_and_zero_padded_pos": "a\t1\t-0\t0.1\t0.5\nb\t1\t+7\t0.1\t0.5\nc\t1\t008\t0.1\t0.5\n"
+    + f"d\t1\t+{2**63 - 1:020d}\t0.1\t0.5\n",
     # int() and float() take these; the C reader must leave them to the
     # line-by-line reader or read them the same way
     "nonascii_digits": "a\t1\t\u0661\u0662\t0.1\t0.5\nb\t1\t13\t0.2\t0.5\n",
@@ -234,6 +241,9 @@ MALFORMED = {
     # below -2**63: a negative position, not an int64 overflow
     "huge_negative_pos": rows("1", 100, 3) + "r\t1\t-99999999999999999999999\t0.1\t0.5\n",
     "huge_negative_pos_nonascii": rows("1", 100, 3) + "\u00e9\t1\t-99999999999999999999999\t0.1\t0.5\n",
+    "twenty_digit_pos": rows("1", 100, 3) + "r\t1\t12345678901234567890\t0.1\t0.5\n",
+    "smallest_int64_pos": rows("1", 100, 3) + f"r\t1\t{-2**63}\t0.1\t0.5\n",
+    "below_smallest_int64_pos": rows("1", 100, 3) + f"r\t1\t{-2**63 - 1}\t0.1\t0.5\n",
 }
 
 BLOCK_SIZES = (1, 70, 1 << 20)
@@ -387,6 +397,68 @@ def test_huge_position_is_a_format_error(tmp_path, monkeypatch, capsys, at, size
     err = capsys.readouterr().err
     assert err == f"cnvfuse: error: {path}:{at + 2}: position above 2**63 - 1\n"
     assert not (tmp_path / "out.tsv").exists()
+
+
+def test_kernel_reads_position_edge_cases():
+    # int()'s value, negatives as -1; above 2**63 - 1 the block is refused
+    # and the line-by-line reader names the line
+    texts = ["0", "-0", "+7", "007", "-00", str(2**63 - 1), f"{2**63 - 1:020d}", str(-(2**63)), str(-(2**63) - 1),
+             "-" + "9" * 30]
+    block = "".join(f"r\t1\t{t}\t0.5\t0.5\n" for t in texts).encode()
+    parsed = _kernels.parse_block(block, 5, [0, 1, 2, 3, 4])
+    assert parsed is not None
+    assert parsed[3].tolist() == [max(int(t), -1) for t in texts]
+    refused = (str(2**63), "9" * 20, "1" + "0" * 30, "1_0", " 5", "5 ", "+", "-", "", "++5", "5.0", "1e3", "\u0665")
+    for text in refused:
+        assert _kernels.parse_block(f"r\t1\t{text}\t0.5\t0.5\n".encode(), 5, [0, 1, 2, 3, 4]) is None, text
+
+
+if given is None:
+
+    @pytest.mark.skip(reason="hypothesis is not installed")
+    def test_numbers_read_as_float_reads_them():
+        pass
+
+else:
+
+    @st.composite
+    def decimal_texts(draw):
+        """Numbers under the kernel's grammar: 1-25 significant digits,
+        leading zeros, a point anywhere (leading and trailing included),
+        signs, and powers of ten that reach subnormals and overflow."""
+        digits = draw(st.text("0123456789", min_size=1, max_size=25))
+        zeros = "0" * draw(st.integers(0, 3))
+        mantissa = zeros + digits
+        point = draw(st.none() | st.integers(0, len(mantissa)))
+        if point is not None:
+            mantissa = f"{mantissa[:point]}.{mantissa[point:]}"
+        sign = draw(st.sampled_from(["", "+", "-"]))
+        exponent = ""
+        if draw(st.booleans()):
+            power = draw(st.integers(-330, 310))
+            mark = draw(st.sampled_from(["e", "E"]))
+            plus = "+" if power >= 0 and draw(st.booleans()) else ""
+            exponent = f"{mark}{plus}{power:0{draw(st.integers(1, 4))}d}"
+        return sign + mantissa + exponent
+
+    # exact values and their neighbours around the edges of the double range
+    EDGE_NUMBERS = ["-0", "-0.0", "0.", ".0", "-.5", "5.", "4.9406564584124654e-324", "2.4703282292062327e-324",
+                    "2.4703282292062328e-324", "2.2250738585072011e-308", "2.2250738585072014e-308",
+                    "1.7976931348623157e308", "1.7976931348623158e308", "1.7976931348623159e308",
+                    "9007199254740993", "123456789012345", "1234567890123456", "1e22", "1e23", "1e-22", "1e-23",
+                    "0.1", "0.30000000000000004", "8.589973e9"]
+
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(numbers=st.lists(decimal_texts() | st.sampled_from(EDGE_NUMBERS), min_size=1, max_size=30))
+    def test_numbers_read_as_float_reads_them(tmp_path, monkeypatch, caplog, numbers):
+        # the kernel takes every such block, with float()'s bits; the whole
+        # reader (a number that overflows is an error) matches the reference
+        block = "".join(f"r{i}\t1\t{i}\t{x}\t{x}\n" for i, x in enumerate(numbers))
+        parsed = _kernels.parse_block(block.encode(), 5, [0, 1, 2, 3, 4])
+        assert parsed is not None
+        want = np.array([float(x) for x in numbers])
+        assert parsed[4].tobytes() == want.tobytes() and parsed[5].tobytes() == want.tobytes()
+        parse_both(tmp_path, monkeypatch, caplog, HEADER + block)
 
 
 def reference_simulate_lines(spec):
@@ -842,32 +914,49 @@ class TestSegmentDpi:
 
     def test_rows_of_all_ten_states(self, tmp_path):
         # noiseless blocks at each copy number's mean, BAF cycling through
-        # the class's genotype centres: the imputed path visits every state
+        # the class's genotype centres: the imputed path visits every state.
+        # Every other SNP id is empty; a file of non-ASCII ids takes the
+        # line-by-line reader, one of ASCII ids the kernel's
         mu = DEFAULT_COPY_LOGR_MEANS
-        lines = ["\t".join(TRACK_COLUMNS)]
-        for c in (2, 1, 2, 0, 2, 3, 2):
-            states = STATES_BY_COPY[c]
-            for i in range(30):
-                baf = 0.37 if c == 0 else states[i % len(states)].baf_center
-                lines.append(f"rs{len(lines)}\tchr7\t{len(lines) * 1000}\t{mu[c]!r}\t{baf!r}")
-        path = tmp_path / "ten.tsv"
-        path.write_text("\n".join(lines) + "\n")
-        out = tmp_path / "out.tsv"
         flags = ["--lambda1", "0.2", "--lambda2", "0.8", "--alpha", "12", "--max-rounds", "20"]
-        assert run_cli(["segment-dpi", path, *flags, "--output", out]) == 0
-        [(chrom, track)] = read_track_file(path)
-        fit = pipeline.fit_dpi(track, 0.2, 0.8, alpha=12.0, mu_init=mu, max_rounds=20)
-        assert set(fit.path.states) == set(TEN_STATES)
-        want = [
-            f"{sid}\t{chrom}\t{pos}\t{state.genotype}\t{copy}"
-            for sid, pos, state, copy in zip(
-                track.snp_ids, track.positions.tolist(), fit.path.states, fit.path.copy_numbers.tolist()
-            )
-        ]
-        assert out.read_text().splitlines()[1:] == want
+        for labels in (("rs{}", ""), ("\u00e9{}\u00b7", "")):
+            lines = ["\t".join(TRACK_COLUMNS)]
+            for c in (2, 1, 2, 0, 2, 3, 2):
+                states = STATES_BY_COPY[c]
+                for i in range(30):
+                    baf = 0.37 if c == 0 else states[i % len(states)].baf_center
+                    label = labels[i % 2].format(len(lines))
+                    lines.append(f"{label}\tchr7\t{len(lines) * 1000}\t{mu[c]!r}\t{baf!r}")
+            path = tmp_path / "ten.tsv"
+            path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+            out = tmp_path / "out.tsv"
+            assert run_cli(["segment-dpi", path, *flags, "--output", out]) == 0
+            [(chrom, track)] = read_track_file(path)
+            assert track.snp_ids == tuple(line.split("\t")[0] for line in lines[1:])
+            fit = pipeline.fit_dpi(track, 0.2, 0.8, alpha=12.0, mu_init=mu, max_rounds=20)
+            assert set(fit.path.states) == set(TEN_STATES)
+            want = [
+                f"{sid}\t{chrom}\t{pos}\t{state.genotype}\t{copy}"
+                for sid, pos, state, copy in zip(
+                    track.snp_ids, track.positions.tolist(), fit.path.states, fit.path.copy_numbers.tolist()
+                )
+            ]
+            assert out.read_text(encoding="utf-8").splitlines()[1:] == want
 
     def test_row_suffix_of_each_state(self):
         assert cli._STATE_SUFFIXES.tolist() == [f"\t{s.genotype}\t{s.copy_number}" for s in TEN_STATES]
+
+    def test_rows_kernel_writes_each_state_and_position(self):
+        # positions from 0 to 2**63 - 1, each state's suffix, ids empty,
+        # non-ASCII or holding tabs
+        positions = np.array([0, 9, 10, 99, 100, 12345, 10**18, 2**63 - 1] * 5, dtype=np.int64)
+        states = np.arange(positions.size, dtype=np.int64) % len(TEN_STATES)
+        ids = ["", "rs1", "\u00e9\u00b7", "a\tb", "x" * 70] * 8
+        text = _kernels.dpi_rows(ids, "chr\u00b7X", positions, states, cli._STATE_SUFFIXES)
+        assert text == "\n".join(
+            f"{sid}\tchr\u00b7X\t{p}\t{TEN_STATES[k].genotype}\t{TEN_STATES[k].copy_number}"
+            for sid, p, k in zip(ids, positions.tolist(), states.tolist())
+        )
 
     def test_alpha_helps_duplications(self, tmp_path):
         # alpha=12 detects at least as many true CNV SNPs as alpha=0

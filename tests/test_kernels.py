@@ -1,8 +1,10 @@
 """Tests for the loader of the compiled kernels (cnvfuse._kernels): the
-build on first use into a cache beside the source, concurrent cold
-starts, a failed build and the log line that says which happened. The
-kernels' arithmetic is held to its Python references in
-tests/test_fused_lasso.py and tests/test_dpi.py."""
+build on first use into a cache beside the source or, where that cannot
+be written, the user's cache directory, concurrent cold starts, a failed
+build and the log line that says which happened. The kernels' arithmetic
+is held to its Python references in tests/test_fused_lasso.py and
+tests/test_dpi.py, and the reader's and writer's to Python's in
+tests/test_cli.py."""
 
 import logging
 import os
@@ -14,6 +16,7 @@ import sysconfig
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import cnvfuse
 from cnvfuse import _kernels, cli
@@ -90,7 +93,9 @@ def test_failed_build_is_one_error_naming_the_command(tmp_path):
         timeout=120,
     )
     assert run.returncode == 1
-    assert run.stderr.startswith("cnvfuse: error: ") and "Traceback" not in run.stderr
+    # the reader loads the library before any fit: no sequence is blamed
+    assert run.stderr.startswith("cnvfuse: error: cannot build the compiled kernels: ")
+    assert "Traceback" not in run.stderr
     command = " ".join([sysconfig.get_config_var("CC"), *_kernels.FLAGS])
     assert f"cannot build the compiled kernels: {command} -o " in run.stderr and str(source) in run.stderr
     assert "this copy is broken" in run.stderr  # the compiler's own message
@@ -119,3 +124,70 @@ def test_a_load_logs_the_library(caplog):
     assert len(lines) == 1
     match = re.fullmatch(LOG_LINE, lines[0])
     assert match and match.group(3) and Path(match.group(3)).parent == PACKAGE / "__pycache__"
+
+
+def _run_solve(root, env) -> subprocess.CompletedProcess:
+    return subprocess.run(
+        [sys.executable, "-c", SOLVE], env=env, capture_output=True, text=True, timeout=120, check=True
+    )
+
+
+def _unusable_pycache(tmp_path) -> Path:
+    """A fresh copy of the package whose ``__pycache__`` cannot be made: a
+    regular file sits where the directory would go (tests run as root,
+    which ignores mode bits)."""
+    root = _fresh_copy(tmp_path / "site")
+    (root / "cnvfuse" / "__pycache__").write_text("")
+    return root
+
+
+def _cached_where(env, root, cache: Path) -> None:
+    """Two runs of SOLVE: the first builds the library into ``cache``, the
+    second loads it from there."""
+    built = re.fullmatch(LOG_LINE, _run_solve(root, env).stderr.strip())
+    [library] = cache.glob("_kernels-*.so")
+    assert built and built.group(2) == str(library)
+    loaded = re.fullmatch(LOG_LINE, _run_solve(root, env).stderr.strip())
+    assert loaded and loaded.group(3) == str(library)
+    assert list(cache.iterdir()) == [library]
+
+
+def test_unusable_pycache_falls_back_to_xdg_cache_home(tmp_path):
+    root = _unusable_pycache(tmp_path)
+    env = dict(_env(root), XDG_CACHE_HOME=str(tmp_path / "xdg"), HOME=str(tmp_path / "home"))
+    _cached_where(env, root, tmp_path / "xdg" / "cnvfuse")
+    assert not (tmp_path / "home").exists()
+
+
+@pytest.mark.parametrize("xdg", [None, "", "relative/cache"])
+def test_without_an_absolute_xdg_cache_home_the_cache_is_under_home(tmp_path, monkeypatch, xdg):
+    root = _unusable_pycache(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    env = {k: v for k, v in _env(root).items() if k != "XDG_CACHE_HOME"}
+    env["HOME"] = str(tmp_path / "home")
+    if xdg is not None:
+        env["XDG_CACHE_HOME"] = xdg
+    _cached_where(env, root, tmp_path / "home" / ".cache" / "cnvfuse")
+    assert not (tmp_path / "relative").exists()
+
+
+def test_no_writable_cache_directory_is_one_error(tmp_path):
+    root = _unusable_pycache(tmp_path)
+    (tmp_path / "xdg").mkdir()
+    (tmp_path / "xdg" / "cnvfuse").write_text("")
+    track = tmp_path / "track.tsv"
+    assert cli.main(["simulate", "--n", "200", "--seed", "3", "--output", str(track)]) == 0
+    env = dict(_env(root), XDG_CACHE_HOME=str(tmp_path / "xdg"))
+    run = subprocess.run(
+        [sys.executable, "-m", "cnvfuse.cli", "segment-dpi", str(track)],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert run.returncode == 1 and run.stdout == ""
+    assert run.stderr.startswith(
+        "cnvfuse: error: cannot build the compiled kernels: no cache directory can be written: "
+    )
+    assert str(root / "cnvfuse" / "__pycache__") in run.stderr and str(tmp_path / "xdg" / "cnvfuse") in run.stderr
+    assert run.stderr.count("\n") == 1

@@ -8,8 +8,11 @@ OLD_SRC and NEW_SRC are directories holding the ``cnvfuse`` package (a
 checkout's ``src/``). The script writes perfbench's genome inputs for
 seeds 1-3 into a temporary directory with ``perfbench/gen.py``, a copy
 of each genome with a 2-SNP chromosome appended, which no route can fit,
-and a copy of the seed-1 genome with ``·`` appended to every ``snp_id``,
-which the reader cannot hand to ``np.loadtxt``.
+a copy of the seed-1 genome with ``·`` appended to every ``snp_id``,
+which the reader's kernel refuses (it reads ASCII only), so every block
+goes to the line-by-line reader, and a copy of the seed-1 genome whose
+numbers are written in the forms the kernel reads by other paths (see
+``number_forms``).
 It runs the same commands with ``PYTHONPATH=OLD_SRC`` and
 ``PYTHONPATH=NEW_SRC``:
 
@@ -26,7 +29,8 @@ It runs the same commands with ``PYTHONPATH=OLD_SRC`` and
   inf and every step takes the full comparison;
 * ``segment-fl`` and ``segment-dpi`` (with ``--segments-out``), each with
   its ``split_at.txt``, on the seed-1 genome with non-ASCII SNP ids: the
-  line-by-line reader and the labels' way to the output, end to end;
+  line-by-line reader and the labels' way to the output, end to end, and
+  on the seed-1 genome with its numbers in other forms;
 * ``simulate --truth-output`` on seeds 1-3 for each CNV type with a
   non-default ``--chrom``, with no other flag, and with every flag set;
 * ``bench`` over the three methods, of whose report only the first 8
@@ -68,6 +72,7 @@ Nothing is written outside the temporary directory.
 
 from __future__ import annotations
 
+import math
 import os
 import shutil
 import subprocess
@@ -80,6 +85,9 @@ SEEDS = (1, 2, 3)
 SHORT_CHROM = "x1\t7\t1000\t0.1\t0.5\nx2\t7\t2000\t-0.2\t0.3\n"
 # appended to every snp_id of the seed-1 genome as genome_nonascii.tsv
 NON_ASCII = "\u00b7"
+# the row of the genome with numbers in other forms whose LogR follows a
+# space: its block goes to the line-by-line reader
+SPACED_ROW = 50_000
 # BAF centres of the genotypes of copy number 1, 2 and 3
 CLASS_CENTRES = ((0.0, 1.0), (0.0, 0.5, 1.0), (0.0, 1.0 / 3.0, 2.0 / 3.0, 1.0))
 # the centres and the midpoints between neighbouring centres of one class
@@ -116,9 +124,10 @@ def cases(inputs: dict[int, str]):
         ]
         dpi_inputs = [("", track, []), (" + 2-SNP chromosome", short, [])]
         if seed == 1:
-            non_ascii = os.path.join(d, "genome_nonascii.tsv")
-            fl_inputs.append((", non-ASCII SNP ids", non_ascii, []))
-            dpi_inputs.append((", non-ASCII SNP ids", non_ascii, []))
+            variants = ((", non-ASCII SNP ids", "genome_nonascii.tsv"), (", numbers in other forms", "genome_forms.tsv"))
+            for label, name in variants:
+                fl_inputs.append((label, os.path.join(d, name), []))
+                dpi_inputs.append((label, os.path.join(d, name), []))
             dpi_inputs.append((", --lambda2 1e308", track, ["--lambda2", "1e308"]))
         for label, path, flags in fl_inputs:
             fl = ["segment-fl", path, *split, "--output", "fl.tsv", *flags]
@@ -145,6 +154,25 @@ def cases(inputs: dict[int, str]):
     yield "bench, columns 1-8", bench, ["bench.tsv"]
     for sub in ([], ["segment-fl"], ["segment-dpi"], ["simulate"], ["bench"]):
         yield f"{' '.join(['cnvfuse', *sub])} --help", [*sub, "--help"], []
+
+
+def number_forms(body: list[str]) -> str:
+    """The genome's rows (``body``, each ending in a newline) with their
+    numbers in the forms that the reader's kernel reads by its other paths:
+    each LogR one step up in its last bit and written with ``repr`` (16-17
+    digits) and each BAF with 17 significant digits in exponent notation,
+    both for strtod; every position with a ``+`` or two leading zeros, for
+    the integer reader; and a space before the LogR of row SPACED_ROW,
+    which sends that row's block to the line-by-line reader."""
+    rows = []
+    for i, line in enumerate(body):
+        snp_id, chrom, pos, logr, baf = line.rstrip("\n").split("\t")
+        logr = repr(math.nextafter(float(logr), math.inf))
+        rows.append(
+            f"{snp_id}\t{chrom}\t{'+' if i % 2 else '00'}{pos}\t{' ' if i == SPACED_ROW else ''}{logr}"
+            f"\t{float(baf):.16e}\n"
+        )
+    return "".join(rows)
 
 
 def run(src: str, workdir: str, argv: list[str], files: list[str]) -> tuple[dict, str]:
@@ -254,6 +282,8 @@ def main(argv=None) -> int:
                 header, *body = genome.splitlines(True)
                 with open(os.path.join(inputs[seed], "genome_nonascii.tsv"), "w", encoding="utf-8") as fh:
                     fh.write(header + "".join(line.replace("\t", NON_ASCII + "\t", 1) for line in body))
+                with open(os.path.join(inputs[seed], "genome_forms.tsv"), "w", encoding="utf-8") as fh:
+                    fh.write(header + number_forms(body))
         for name, cmd, files in cases(inputs):
             old, old_kb = run(old_src, os.path.join(tmp, "old"), cmd, files)
             new, new_kb = run(new_src, os.path.join(tmp, "new"), cmd, files)
