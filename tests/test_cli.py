@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 try:
-    from hypothesis import HealthCheck, given, settings, strategies as st
+    from hypothesis import HealthCheck, example, given, settings, strategies as st
 except ImportError:  # the property test is skipped without hypothesis
     given = None
 
@@ -426,7 +426,8 @@ else:
         """Numbers under the kernel's grammar: 1-25 significant digits,
         leading zeros, a point anywhere (leading and trailing included),
         signs, and powers of ten that reach subnormals and overflow."""
-        digits = draw(st.text("0123456789", min_size=1, max_size=25))
+        length = draw(st.integers(1, 25))
+        digits = draw(st.text("0123456789", min_size=length, max_size=length))
         zeros = "0" * draw(st.integers(0, 3))
         mantissa = zeros + digits
         point = draw(st.none() | st.integers(0, len(mantissa)))
@@ -441,15 +442,19 @@ else:
             exponent = f"{mark}{plus}{power:0{draw(st.integers(1, 4))}d}"
         return sign + mantissa + exponent
 
-    # exact values and their neighbours around the edges of the double range
+    # exact values and their neighbours around the edges of the double range,
+    # the edges of the exact fast path, and 17-digit numbers that two
+    # roundings (the digits to a double, then the power of ten) get wrong
     EDGE_NUMBERS = ["-0", "-0.0", "0.", ".0", "-.5", "5.", "4.9406564584124654e-324", "2.4703282292062327e-324",
                     "2.4703282292062328e-324", "2.2250738585072011e-308", "2.2250738585072014e-308",
                     "1.7976931348623157e308", "1.7976931348623158e308", "1.7976931348623159e308",
                     "9007199254740993", "123456789012345", "1234567890123456", "1e22", "1e23", "1e-22", "1e-23",
-                    "0.1", "0.30000000000000004", "8.589973e9"]
+                    "0.1", "0.30000000000000004", "8.589973e9", "97034050148785141e8", "12182877362171545e20",
+                    "93141447779900273e6", "79680956661034331e-17", "82838751003434053e-7"]
 
     @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(numbers=st.lists(decimal_texts() | st.sampled_from(EDGE_NUMBERS), min_size=1, max_size=30))
+    @example(numbers=EDGE_NUMBERS)
     def test_numbers_read_as_float_reads_them(tmp_path, monkeypatch, caplog, numbers):
         # the kernel takes every such block, with float()'s bits; the whole
         # reader (a number that overflows is an error) matches the reference
